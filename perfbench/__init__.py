@@ -1,0 +1,3 @@
+"""Campaign benchmark harness (run it with ``python3 perfbench/run.py``)."""
+
+__all__ = []
