@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -35,6 +36,7 @@ from repro.core.injector import (
     finish_injection,
     prepare_buffer,
     prepare_datapath,
+    propagate_group,
 )
 from repro.core.outcome import SDC_CLASSES, Outcome, classify_outcome
 from repro.core.stats import RateEstimate, wilson_halfwidth
@@ -667,17 +669,6 @@ class _CampaignTask:
             self.network, self.dtype, fault, meta["golden"], self.storage_dtype
         )
 
-    def prepare_trial(self, trial: int):
-        """Sample and build trial ``trial``'s corruption without propagating.
-
-        Returns ``(prep, meta)`` where ``prep`` is the
-        :class:`~repro.core.injector.PreparedInjection` and ``meta``
-        carries everything :meth:`complete_trial` needs (golden, site,
-        block, bit, record flag).
-        """
-        fault, meta = self.sample_trial(trial)
-        return self.build_trial(fault, meta), meta
-
     def close(self) -> None:
         """Detach the shared golden view, if one is attached.
 
@@ -728,14 +719,6 @@ class _CampaignTask:
             reached_output=reached,
         )
 
-    def __call__(self, trial: int) -> TrialRecord:
-        prep, meta = self.prepare_trial(trial)
-        injection = finish_injection(
-            self.network, self.dtype, prep, meta["golden"],
-            record=meta["record"], storage_dtype=self.storage_dtype,
-        )
-        return self.complete_trial(meta, injection)
-
 
 class _SafeTrialTask:
     """Per-worker wrapper: an exception inside a trial becomes a
@@ -763,8 +746,7 @@ class _SafeTrialTask:
         #: :meth:`collect_obs`, so a crashed chunk loses its traces and
         #: its records together and retries never duplicate rows.
         self.traces: list[dict] = []
-        #: Trials propagated per forward_from_batch call; the parallel
-        #: layer dispatches whole index slices to run_many when > 1.
+        #: Trials propagated per forward_from_batch call (see run_many).
         self.group_size = max(1, int(batch))
         self.task = _CampaignTask(spec, golden)
         #: Strata the early-stopping planner has closed.  Updated per
@@ -803,29 +785,7 @@ class _SafeTrialTask:
         self.task.close()
 
     def __call__(self, trial: int) -> TrialRecord | TrialError | TrialSkip:
-        try:
-            with span("trial"):
-                fault, meta = self.task.sample_trial(trial)
-                skip = self._maybe_skip(trial, meta)
-                if skip is not None:
-                    return skip
-                prep = self.task.build_trial(fault, meta)
-                injection = finish_injection(
-                    self.task.network, self.task.dtype, prep, meta["golden"],
-                    record=meta["record"], storage_dtype=self.task.storage_dtype,
-                )
-                record = self.task.complete_trial(meta, injection)
-        except Exception as exc:
-            return TrialError(
-                index=trial,
-                reason="error",
-                exc_type=type(exc).__name__,
-                message=exc_summary(exc),
-                site=self.task.last_site,
-            )
-        record_trial_metrics(self.metrics, record)
-        self._emit_trace(trial, meta, injection, record)
-        return record
+        return next(self.run_many([trial]))
 
     def _emit_trace(self, trial: int, meta: dict, injection: InjectionResult,
                     record: TrialRecord) -> None:
@@ -862,51 +822,52 @@ class _SafeTrialTask:
         self._emit_trace(trial, meta, injection, record)
         return record
 
-    def _finish_serial(self, trial: int, prep, meta: dict):
-        try:
-            injection = finish_injection(
-                self.task.network, self.task.dtype, prep, meta["golden"],
-                record=meta["record"], storage_dtype=self.task.storage_dtype,
-            )
-        except Exception as exc:
-            return self._quarantine(trial, exc, meta["site"])
-        return self._complete(trial, meta, injection)
+    def run_many(self, indices: list[int]) -> Iterator:
+        """Run a slice of trials, yielding their results in ``indices`` order.
 
-    def run_many(self, indices: list[int]) -> list:
-        """Run a slice of trials with grouped (batched) propagation.
-
-        Corruption building, outcome classification and the metric folds
-        stay per-trial; only the network-tail propagation is grouped, by
-        resume layer (``spec.storage_dtype`` is constant per campaign, so
-        the resume index alone determines the tail computation).  Results
-        are positionally aligned with ``indices`` and bit-identical to
-        calling ``self(i)`` for each index; a failing group falls back to
-        serial propagation so one bad trial cannot poison its batch-mates.
+        Sampling, corruption building, outcome classification and the
+        metric folds stay per-trial; every unmasked trial propagates
+        through :func:`~repro.core.injector.propagate_group` with its
+        golden, so the engine delta-propagates and collapses dead
+        trials.  At group size 1 each trial propagates as soon as it is
+        built and its result is yielded at once: no prepared activation
+        outlives its trial, and a checkpointing caller sees every result
+        as it resolves.  Above 1 the slice's unmasked trials are grouped
+        by resume layer (``spec.storage_dtype`` is constant per campaign,
+        so the resume index alone determines the tail computation) and
+        split into groups of ``group_size``.  Results are bit-identical
+        for every group size.
         """
         results: list = [None] * len(indices)
         groups: dict[int, list] = {}
+        stream = self.group_size == 1
         for pos, trial in enumerate(indices):
             try:
                 with span("trial"):
                     fault, meta = self.task.sample_trial(trial)
                     skip = self._maybe_skip(trial, meta)
-                    if skip is not None:
-                        results[pos] = skip
-                        continue
-                    prep = self.task.build_trial(fault, meta)
-                    if prep.masked:
-                        injection = finish_injection(
-                            self.task.network, self.task.dtype, prep,
-                            meta["golden"], record=meta["record"],
-                            storage_dtype=self.task.storage_dtype,
-                        )
-                        results[pos] = self._complete(trial, meta, injection)
-                    else:
-                        groups.setdefault(prep.resume_index, []).append(
-                            (pos, trial, prep, meta)
-                        )
+                    prep = None if skip is not None else self.task.build_trial(fault, meta)
             except Exception as exc:
                 results[pos] = self._quarantine(trial, exc, self.task.last_site)
+            else:
+                if prep is None:
+                    results[pos] = skip
+                elif prep.masked:
+                    injection = finish_injection(
+                        self.task.network, self.task.dtype, prep, meta["golden"]
+                    )
+                    results[pos] = self._complete(trial, meta, injection)
+                else:
+                    groups.setdefault(prep.resume_index, []).append((pos, trial, prep, meta))
+            if stream:
+                self._propagate(groups, results)
+                yield results[pos]
+        if not stream:
+            self._propagate(groups, results)
+            yield from results
+
+    def _propagate(self, groups: dict[int, list], results: list) -> None:
+        """Propagate and empty ``groups`` (resume layer -> pending trials)."""
         for items in groups.values():
             # Cluster corruptions on nearby rows into the same batch: the
             # delta engine recomputes each batch's *union* row span, so a
@@ -920,42 +881,34 @@ class _SafeTrialTask:
             )
             for start in range(0, len(items), self.group_size):
                 self._run_group(items[start : start + self.group_size], results)
-        return results
+        groups.clear()
 
     def _run_group(self, items: list, results: list) -> None:
         task = self.task
-        resume_index = items[0][2].resume_index
-        # Record when *any* trial in the group needs activations (trace
-        # sampling makes the flag per-trial); recording never changes
-        # the arithmetic, so batch-mates are unaffected.
-        record = any(meta["record"] for _, _, _, meta in items)
         try:
             with span("propagate_batch"):
-                batch = task.network.forward_from_batch(
-                    resume_index,
-                    [prep.act for _, _, prep, _ in items],
-                    dtype=task.dtype,
-                    record=record,
-                    storage_dtype=task.storage_dtype,
+                injections = propagate_group(
+                    task.network,
+                    task.dtype,
+                    [prep for _, _, prep, _ in items],
                     goldens=[meta["golden"] for _, _, _, meta in items],
-                    dirty_rows=[prep.dirty_rows for _, _, prep, _ in items],
+                    # Record when *any* trial in the group needs
+                    # activations (trace sampling makes the flag
+                    # per-trial); recording never changes the arithmetic.
+                    record=any(meta["record"] for _, _, _, meta in items),
+                    storage_dtype=task.storage_dtype,
                 )
-        except Exception:
-            # Batched propagation failed (e.g. one pathological trial):
-            # redo the whole group serially so each trial quarantines —
-            # or succeeds — on its own.
-            for pos, trial, prep, meta in items:
-                results[pos] = self._finish_serial(trial, prep, meta)
+        except Exception as exc:
+            if len(items) == 1:
+                pos, trial, _, meta = items[0]
+                results[pos] = self._quarantine(trial, exc, meta["site"])
+                return
+            # One pathological trial must not poison its batch-mates:
+            # re-run each alone, so each quarantines or succeeds on its own.
+            for item in items:
+                self._run_group([item], results)
             return
-        for b, (pos, trial, prep, meta) in enumerate(items):
-            injection = InjectionResult(
-                scores=batch.scores[b],
-                masked=False,
-                value_before=prep.value_before,
-                value_after=prep.value_after,
-                resume_index=prep.resume_index,
-                faulty_activations=batch.activations[b] if meta["record"] else [],
-            )
+        for (pos, trial, _, meta), injection in zip(items, injections):
             results[pos] = self._complete(trial, meta, injection)
 
     def collect_obs(self) -> dict:
@@ -1091,10 +1044,12 @@ def run_campaign(
         spec: Campaign configuration.
         jobs: Worker processes (1 = inline, None/0 = all cores).
         batch: Trials propagated per ``forward_from_batch`` call (1 =
-            the serial per-trial path).  An execution knob, not part of
-            the campaign identity: results, checkpoints and metric
-            counters are bit-identical for every value (the batched
-            engine replays the serial arithmetic exactly), so it is
+            each trial alone, as soon as it is built).  Every value goes
+            through the same delta-propagating engine.  An execution
+            knob, not part of the campaign identity: results,
+            checkpoints and metric counters are bit-identical for every
+            value (each trial's arithmetic is that of the per-trial
+            ``Network.forward_from`` reference), so it is
             deliberately *not* in :class:`CampaignSpec` or the
             checkpoint fingerprint — a campaign checkpointed at one
             batch size resumes correctly at another.

@@ -21,13 +21,15 @@ Each engine is split into two separable stages:
   chain(s), decides maskedness, and produces a
   :class:`PreparedInjection` holding the patched activation plus the
   input-row span the corruption is confined to;
-- :func:`finish_injection` propagates a prepared corruption through the
-  network tail.
+- :func:`propagate_group` pushes unmasked corruptions that share a
+  resume layer through the network tail in one
+  :meth:`~repro.nn.network.Network.forward_from_batch` call — the one
+  propagation engine.
 
-``inject_datapath`` / ``inject_buffer`` compose the two for the serial
-path; the campaign runner instead prepares a whole chunk of trials,
-groups them by resume layer, and propagates each group in one call to
-:meth:`~repro.nn.network.Network.forward_from_batch`.
+``inject_datapath`` / ``inject_buffer`` compose the two for a single
+fault via :func:`finish_injection` (a one-trial group).  The campaign
+runner instead prepares a chunk of trials, groups them by resume layer,
+and hands each group its goldens so the engine delta-propagates.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "replay_chain",
     "prepare_datapath",
     "prepare_buffer",
+    "propagate_group",
     "finish_injection",
     "inject_datapath",
     "inject_buffer",
@@ -166,38 +169,44 @@ def replay_chain(
     raise ValueError(f"unknown latch {fault.latch!r}")
 
 
-def _patched_resume(
+def propagate_group(
     network: Network,
     dtype: DataType,
-    resume_index: int,
-    act: np.ndarray,
-    value_before: float,
-    value_after: float,
-    record: bool,
+    preps: list[PreparedInjection],
+    goldens: list[InferenceResult] | None = None,
+    record: bool = False,
     storage_dtype: DataType | None = None,
-) -> InjectionResult:
-    """Resume the forward pass with a patched activation."""
-    res = network.forward_from(
-        resume_index, act, dtype=dtype, record=record, storage_dtype=storage_dtype
-    )
-    return InjectionResult(
-        scores=res.scores,
-        masked=False,
-        value_before=value_before,
-        value_after=value_after,
-        resume_index=resume_index,
-        faulty_activations=[act] + res.activations[1:] if record else [],
-    )
+) -> list[InjectionResult]:
+    """Propagate unmasked corruptions sharing one resume layer, in one call.
 
-
-def _masked_result(golden: InferenceResult, resume_index: int, value: float) -> InjectionResult:
-    return InjectionResult(
-        scores=golden.scores,
-        masked=True,
-        value_before=value,
-        value_after=value,
-        resume_index=resume_index,
+    Args:
+        preps: Unmasked preparations, all with the same ``resume_index``.
+        goldens: Optional per-trial golden runs (recorded under the same
+            formats); enables delta propagation over each preparation's
+            ``dirty_rows`` span (see
+            :meth:`~repro.nn.network.Network.forward_from_batch`).
+        record: Keep every trial's activation trace.
+    """
+    batch = network.forward_from_batch(
+        preps[0].resume_index,
+        [prep.act for prep in preps],
+        dtype=dtype,
+        record=record,
+        storage_dtype=storage_dtype,
+        goldens=goldens,
+        dirty_rows=[prep.dirty_rows for prep in preps],
     )
+    return [
+        InjectionResult(
+            scores=batch.scores[b],
+            masked=False,
+            value_before=prep.value_before,
+            value_after=prep.value_after,
+            resume_index=prep.resume_index,
+            faulty_activations=batch.activations[b] if record else [],
+        )
+        for b, prep in enumerate(preps)
+    ]
 
 
 def finish_injection(
@@ -208,14 +217,21 @@ def finish_injection(
     record: bool = False,
     storage_dtype: DataType | None = None,
 ) -> InjectionResult:
-    """Propagate a prepared corruption through the network tail."""
+    """Propagate a prepared corruption through the network tail.
+
+    An unmasked corruption is a one-trial :func:`propagate_group`.
+    """
     if prep.masked:
-        return _masked_result(golden, prep.resume_index, prep.value_before)
-    assert prep.act is not None
-    return _patched_resume(
-        network, dtype, prep.resume_index, prep.act, prep.value_before,
-        prep.value_after, record, storage_dtype=storage_dtype,
-    )
+        return InjectionResult(
+            scores=golden.scores,
+            masked=True,
+            value_before=prep.value_before,
+            value_after=prep.value_before,
+            resume_index=prep.resume_index,
+        )
+    return propagate_group(
+        network, dtype, [prep], record=record, storage_dtype=storage_dtype
+    )[0]
 
 
 def prepare_datapath(

@@ -4,16 +4,19 @@ The fault injector needs two things beyond plain inference:
 
 - the activation entering every layer (to rebuild a single MAC operand
   chain), and
-- ``forward_from``: resume execution at layer *i* with a corrupted
-  activation, so one injection costs a partial forward pass rather than a
-  full one.
+- ``forward_from_batch``: resume execution at layer *i* with corrupted
+  activations, so an injection costs a partial forward pass rather than a
+  full one.  It is fault injection's one propagation engine;
+  ``forward_from`` is the full-recompute single-trial reference its
+  bit-exactness contract is stated against.
 
-Both are provided here.  All four paper networks are sequential stacks,
-so no general DAG machinery is required.
+All four paper networks are sequential stacks, so no general DAG
+machinery is required.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,19 +267,7 @@ class Network:
         act = dtype.quantize(x) if dtype is not None else np.asarray(x, dtype=np.float64)
         if storage_dtype is not None:
             act = storage_dtype.quantize(act)
-        store_at = self.block_output_indices() if storage_dtype is not None else frozenset()
-        activations: list[np.ndarray] = [act] if record else []
-        batched = act[None]
-        for i, layer in enumerate(self.layers):
-            # span() is a shared no-op unless timing is enabled, so this
-            # per-layer hook stays out of the hot path's profile.
-            with span(f"layer:{layer.name}"):
-                batched = layer.forward(batched, dtype)
-            if i in store_at:
-                batched = storage_dtype.quantize(batched)
-            if record:
-                activations.append(batched[0])
-        return InferenceResult(scores=batched[0].ravel(), activations=activations)
+        return self._run(0, act, dtype, record, storage_dtype)
 
     def forward_from(
         self,
@@ -288,6 +279,9 @@ class Network:
     ) -> InferenceResult:
         """Resume inference at ``layers[layer_index]`` with input ``act``.
 
+        The full-recompute reference (no golden reuse) that
+        :meth:`forward_from_batch` must match bit for bit.
+
         ``act`` must have shape ``shapes[layer_index]`` and be already
         quantized (a corrupted golden activation qualifies: flipping a bit
         keeps a value representable).
@@ -298,29 +292,45 @@ class Network:
         the final output buffer.  Anything outside that range raises
         ``IndexError``.
         """
-        self._check_resume_index(layer_index)
-        if tuple(act.shape) != self.shapes[layer_index]:
-            raise ValueError(
-                f"expected activation {self.shapes[layer_index]}, got {tuple(act.shape)}"
-            )
-        store_at = self.block_output_indices() if storage_dtype is not None else frozenset()
+        self._check_resume(layer_index, [act])
+        return self._run(layer_index, act, dtype, record, storage_dtype)
+
+    def _run(self, start: int, act: np.ndarray, dtype: DataType | None, record: bool,
+             storage_dtype: DataType | None) -> InferenceResult:
+        """Single-sample body of :meth:`forward` and :meth:`forward_from`."""
         activations: list[np.ndarray] = [act] if record else []
         batched = np.asarray(act, dtype=np.float64)[None]
-        for i, layer in enumerate(self.layers[layer_index:], start=layer_index):
-            with span(f"layer:{layer.name}"):
-                batched = layer.forward(batched, dtype)
-            if i in store_at:
-                batched = storage_dtype.quantize(batched)
+        # Rebinding the loop variable: zero layers leave the input as output.
+        for batched in self._layer_outputs(start, batched, dtype, storage_dtype):
             if record:
                 activations.append(batched[0])
         return InferenceResult(scores=batched[0].ravel(), activations=activations)
 
-    def _check_resume_index(self, layer_index: int) -> None:
+    def _layer_outputs(self, start: int, batched: np.ndarray, dtype: DataType | None,
+                       storage_dtype: DataType | None) -> Iterator[np.ndarray]:
+        """The one layer loop: yield each layer's output stack from
+        ``layers[start]`` on, block outputs narrowed to ``storage_dtype``."""
+        store_at = self.block_output_indices() if storage_dtype is not None else frozenset()
+        for i, layer in enumerate(self.layers[start:], start=start):
+            # span() is a shared no-op unless timing is enabled, so this
+            # per-layer hook stays out of the hot path's profile.
+            with span(f"layer:{layer.name}"):
+                batched = layer.forward(batched, dtype)
+            if i in store_at:
+                batched = storage_dtype.quantize(batched)
+            yield batched
+
+    def _check_resume(self, layer_index: int, acts: list[np.ndarray]) -> None:
         if not 0 <= layer_index <= len(self.layers):
             raise IndexError(
                 f"layer index {layer_index} outside [0, {len(self.layers)}] "
                 f"(== len(layers) resumes past the last layer and echoes the input)"
             )
+        for act in acts:
+            if tuple(act.shape) != self.shapes[layer_index]:
+                raise ValueError(
+                    f"expected activation {self.shapes[layer_index]}, got {tuple(act.shape)}"
+                )
 
     def forward_from_batch(
         self,
@@ -340,7 +350,7 @@ class Network:
         ``forward_from(i, acts[b])`` with the same arguments.  This holds
         because every layer evaluates each sample with the exact
         arithmetic (GEMM call shapes, reduction orders, per-pixel path
-        choices) the serial engine uses — see the conv module docstring.
+        choices) :meth:`forward_from` uses — see the conv module docstring.
 
         ``layer_index`` accepts the same ``[0, len(layers)]`` range as
         :meth:`forward_from`; the upper boundary echoes each ``acts[b]``.
@@ -362,14 +372,9 @@ class Network:
                 (``None`` = anywhere, forces full recompute for that
                 trial).
         """
-        self._check_resume_index(layer_index)
+        self._check_resume(layer_index, acts)
         if not acts:
             raise ValueError("forward_from_batch needs at least one activation")
-        for act in acts:
-            if tuple(act.shape) != self.shapes[layer_index]:
-                raise ValueError(
-                    f"expected activation {self.shapes[layer_index]}, got {tuple(act.shape)}"
-                )
         B = len(acts)
         store_at = self.block_output_indices() if storage_dtype is not None else frozenset()
         cur = [np.asarray(a, dtype=np.float64) for a in acts]
@@ -403,11 +408,7 @@ class Network:
                 traces[b].extend(goldens[b].activations[start + 1 :])  # type: ignore[index]
         if alive:
             batched = np.stack([cur[b] for b in alive])
-            for i, layer in enumerate(self.layers[start:], start=start):
-                with span(f"layer:{layer.name}"):
-                    batched = layer.forward(batched, dtype)
-                if i in store_at:
-                    batched = storage_dtype.quantize(batched)
+            for batched in self._layer_outputs(start, batched, dtype, storage_dtype):
                 if record:
                     for pos, b in enumerate(alive):
                         traces[b].append(batched[pos])
@@ -444,7 +445,7 @@ class Network:
         non-max delta, quantization rounds a tiny delta away — the
         paper's section 5 masking mechanisms), the trial's span
         collapses to empty and all remaining work for it disappears.
-        The serial path would recompute exactly those golden bits, so
+        A full recompute would produce exactly those golden bits, so
         skipping them is observationally identical.
         """
         B = len(cur)

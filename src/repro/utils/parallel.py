@@ -30,10 +30,10 @@ import os
 import time
 import traceback
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.spans import span
 
@@ -115,33 +115,38 @@ def exc_summary(exc: BaseException, frames: int = 3) -> str:
     return " | ".join(tail)[:500]
 
 
-def _batched(task: object) -> bool:
-    """True when a task opts into whole-slice execution.
+def _run_slice(task, indices: Sequence[int], capture: bool = True) -> Iterator[tuple]:
+    """Run an index slice, yielding ``("ok", i, value)`` per trial.
 
-    A task advertises grouped execution by exposing ``run_many(indices)
-    -> list`` (positionally aligned values) and a ``group_size`` attribute
-    > 1; the campaign's batched-propagation task is the motivating
-    implementation.  Everything else runs one index per call.
+    The one dispatch of every execution mode.  A task exposing
+    ``run_many(indices)`` — an iterable of values in ``indices`` order,
+    possibly lazy so results stream as they resolve — gets the whole
+    slice in one call; the campaign task groups trials for batched
+    propagation that way.  ``run_many`` quarantines per-trial failures
+    itself (returning error *values*), so an exception escaping it means
+    the grouping itself is broken and sends the rest of the slice down
+    the per-index path.  Per index, a raising ``task(i)`` yields
+    ``("err", i, exc_type, summary)`` so it does not poison its
+    slice-mates, or propagates when ``capture`` is False.
     """
-    return (
-        getattr(task, "group_size", 1) > 1
-        and callable(getattr(task, "run_many", None))
-    )
-
-
-def _run_slice(task, indices: Sequence[int]) -> list[tuple] | None:
-    """Run a whole index slice via ``task.run_many``; None = fall back.
-
-    ``run_many`` implementations are expected to quarantine per-trial
-    failures internally (returning error *values*); an exception escaping
-    the whole slice is treated as "batching itself is broken" and sends
-    the slice down the per-trial path instead.
-    """
-    try:
-        values = task.run_many(list(indices))
-    except Exception:
-        return None
-    return [("ok", i, v) for i, v in zip(indices, values)]
+    done = 0
+    run_many = getattr(task, "run_many", None)
+    if callable(run_many):
+        try:
+            for i, value in zip(indices, run_many(list(indices))):
+                yield ("ok", i, value)
+                done += 1
+        except Exception:
+            pass
+    for i in indices[done:]:
+        try:
+            value = task(i)
+        except Exception as exc:
+            if not capture:
+                raise
+            yield ("err", i, type(exc).__name__, exc_summary(exc))
+        else:
+            yield ("ok", i, value)
 
 
 def _apply_ctl(task: object, ctl: object) -> None:
@@ -180,24 +185,11 @@ def _run_chunk(indices: Sequence[int], ctl: object = None) -> list:
     snapshot and results travel in the same message, so a crashed or
     timed-out chunk loses both together and re-running it can never
     double-count a trial's metrics.
-
-    Tasks that opt in (see :func:`_batched`) receive the whole chunk via
-    ``run_many`` so they can propagate grouped trials in one batched
-    forward pass.
     """
     assert _WORKER_TASK is not None, "worker not initialised"
     _apply_ctl(_WORKER_TASK, ctl)
-    out: list[tuple] | None = None
     with span("chunk"):
-        if _batched(_WORKER_TASK):
-            out = _run_slice(_WORKER_TASK, indices)
-        if out is None:
-            out = []
-            for i in indices:
-                try:
-                    out.append(("ok", i, _WORKER_TASK(i)))
-                except Exception as exc:
-                    out.append(("err", i, type(exc).__name__, exc_summary(exc)))
+        out = list(_run_slice(_WORKER_TASK, indices))
     collect = getattr(_WORKER_TASK, "collect_obs", None)
     if callable(collect):
         out.append(("obs", collect()))
@@ -362,17 +354,13 @@ class _Supervisor:
             c = self.pending.popleft()
             _apply_ctl(task, c.ctl)
             with span("chunk"):
-                batched = _run_slice(task, c.indices) if _batched(task) else None
-                if batched is not None:
-                    for _, i, value in batched:
-                        self._record(i, value)
-                    continue
-                for i in c.indices:
-                    try:
-                        self._record(i, task(i))
-                    except Exception as exc:
+                for item in _run_slice(task, c.indices):
+                    if item[0] == "ok":
+                        self._record(item[1], item[2])
+                    else:
+                        _, i, exc_type, message = item
                         self._quarantine(i, "error", c.attempts + 1,
-                                         exc_type=type(exc).__name__, message=exc_summary(exc))
+                                         exc_type=exc_type, message=message)
         collect = getattr(task, "collect_obs", None)
         if callable(collect) and self.on_obs is not None:
             self.on_obs(collect())
@@ -541,27 +529,16 @@ class _Supervisor:
 
 def _run_inline(task, indices: Sequence[int], chunk: int,
                 on_result: Callable[[int, object], None] | None) -> list:
-    """Run ``indices`` through a task in this process (no supervision)."""
+    """Run ``indices`` through a task in this process (no supervision).
+
+    Chunk-sized slices bound how many prepared-but-unpropagated
+    corruptions a grouping task holds at once and keep ``on_result``
+    streaming.  A raising trial propagates.
+    """
     results: list = []
-    if _batched(task) and len(indices) > 1:
-        # Chunk-sized slices bound how many prepared-but-unpropagated
-        # corruptions are held at once and keep on_result streaming.
-        for s in range(0, len(indices), chunk):
-            part = list(indices[s : s + chunk])
-            with span("chunk"):
-                batched = _run_slice(task, part)
-            for i, value in (
-                ((i, v) for _, i, v in batched)
-                if batched is not None
-                else ((i, task(i)) for i in part)
-            ):
-                if on_result is not None:
-                    on_result(i, value)
-                results.append(value)
-    else:
+    for s in range(0, len(indices), chunk):
         with span("chunk"):
-            for i in indices:
-                value = task(i)
+            for _, i, value in _run_slice(task, indices[s : s + chunk], capture=False):
                 if on_result is not None:
                     on_result(i, value)
                 results.append(value)

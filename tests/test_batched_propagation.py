@@ -1,25 +1,36 @@
 """Batched fault propagation: bit-exactness, golden immutability, parity.
 
-The campaign hot path groups prepared corruptions by resume layer and
-propagates each group through ``Network.forward_from_batch``.  The
-contract is byte-identity with the serial ``forward_from`` path — per
-trial, on scores and on every recorded activation — which these tests
-enforce over mixed datapath and buffer faults, with and without the
-Proteus storage narrowing, for both the plain stacked engine and the
-delta engine (goldens + dirty row spans).
+Every campaign trial propagates through ``Network.forward_from_batch``,
+in groups of ``batch`` trials.  The contract is byte-identity with the
+full-recompute ``forward_from`` reference — per trial, on scores and on
+every recorded activation — which these tests enforce over mixed
+datapath and buffer faults, with and without the Proteus storage
+narrowing, for both the plain stacked engine and the delta engine
+(goldens + dirty row spans).  Whole campaigns are checked against the
+per-trial oracle in ``tests/reference_engine.py``.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.core.campaign import CampaignSpec, run_campaign
+from repro.core.campaign import CampaignSpec, _CampaignTask, run_campaign
 from repro.core.fault import BufferFault, sample_buffer_fault, sample_datapath_fault
 from repro.core.injector import finish_injection, prepare_buffer, prepare_datapath
+from repro.core.serialize import to_jsonable
 from repro.dtypes import DTYPES, FLOAT16
+from repro.nn.network import Network
 from repro.utils.rng import child_rng
 from tests.conftest import build_tiny_network
+from tests.reference_engine import reference_campaign
 
 BUFFER_SCOPES = ("layer_weight", "row_activation", "next_layer", "single_read")
+
+
+def canonical(value) -> str:
+    """Byte-stable text of records / trace rows (NaN-safe equality)."""
+    return json.dumps(to_jsonable(value), sort_keys=True)
 
 
 def golden_bytes(golden):
@@ -176,8 +187,9 @@ class TestRowActivationResidencyMiss:
 
 
 class TestCampaignBatchParity:
-    """``batch`` is an execution knob: records and deterministic metric
-    counters must be byte-identical at every group size."""
+    """``batch`` is an execution knob: at every group size, records,
+    deterministic metric counters and trace rows must equal the per-trial
+    full-recompute oracle (``tests/reference_engine.py``)."""
 
     SPECS = [
         CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=30, seed=11),
@@ -189,21 +201,72 @@ class TestCampaignBatchParity:
             network="ConvNet", dtype="32b_rb10", storage_dtype="16b_rb10",
             n_trials=20, seed=13,
         ),
+        # Recorded activations feed the detector, reached_output and the
+        # flight recorder; the delta engine hands them golden references.
+        CampaignSpec(
+            network="ConvNet", dtype="FLOAT16", n_trials=24, seed=14,
+            with_detection=True, record_propagation=True, trace_mode="all",
+        ),
     ]
 
-    @staticmethod
-    def _same_value(a: float, b: float) -> bool:
-        return a == b or (a != a and b != b)
-
-    @pytest.mark.parametrize("spec", SPECS, ids=["datapath", "buffer", "proteus"])
+    @pytest.mark.parametrize(
+        "spec", SPECS, ids=["datapath", "buffer", "proteus", "recorded"]
+    )
     def test_batched_campaign_matches_serial(self, spec):
-        serial = run_campaign(spec, jobs=1, batch=1)
-        batched = run_campaign(spec, jobs=1, batch=8)
-        assert len(serial.records) == len(batched.records) == spec.n_trials
-        for a, b in zip(serial.records, batched.records):
-            assert a.outcome == b.outcome
-            assert (a.bit, a.site, a.block) == (b.bit, b.site, b.block)
-            assert self._same_value(a.value_before, b.value_before)
-            assert self._same_value(a.value_after, b.value_after)
-        assert serial.metrics["counters"] == batched.metrics["counters"]
-        assert serial.metrics["histograms"] == batched.metrics["histograms"]
+        records, metrics, traces = reference_campaign(spec)
+        assert len(records) == spec.n_trials
+        for batch in (1, 8):
+            result = run_campaign(spec, jobs=1, batch=batch)
+            assert canonical(result.records) == canonical(records), batch
+            assert result.metrics["counters"] == metrics["counters"], batch
+            assert result.metrics["histograms"] == metrics["histograms"], batch
+            assert canonical(result.traces) == canonical(traces), batch
+        if spec.trace_mode == "all":
+            assert len(traces) == spec.n_trials
+            assert any(r.detected for r in records)
+            assert any(r.reached_output for r in records)
+
+
+class TestGroupFailureFallback:
+    """A group whose propagation raises is re-run one trial at a time, so
+    only the trial that fails on its own is quarantined."""
+
+    SPEC = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=30, seed=11)
+
+    def test_only_the_poison_trial_is_quarantined(self, monkeypatch):
+        reference = run_campaign(self.SPEC, jobs=1, batch=1)
+        sample, build = _CampaignTask.sample_trial, _CampaignTask.build_trial
+        forward = Network.forward_from_batch
+        current: dict = {}
+        poison: dict = {}
+        stacks: list[int] = []
+
+        def sample_trial(task, trial):
+            current["trial"] = trial
+            return sample(task, trial)
+
+        def build_trial(task, fault, meta):
+            prep = build(task, fault, meta)
+            if not poison and not prep.masked:
+                poison.update(trial=current["trial"], act=prep.act)
+            return prep
+
+        def forward_from_batch(net, layer_index, acts, *args, **kwargs):
+            if any(act is poison.get("act") for act in acts):
+                stacks.append(len(acts))
+                raise FloatingPointError("poisoned activation")
+            return forward(net, layer_index, acts, *args, **kwargs)
+
+        monkeypatch.setattr(_CampaignTask, "sample_trial", sample_trial)
+        monkeypatch.setattr(_CampaignTask, "build_trial", build_trial)
+        monkeypatch.setattr(Network, "forward_from_batch", forward_from_batch)
+        result = run_campaign(self.SPEC, jobs=1, batch=8, max_error_frac=0.5)
+
+        # The poison's group failed as a whole, then the poison alone.
+        assert stacks[0] > 1 and stacks[-1] == 1
+        assert [e.index for e in result.errors] == [poison["trial"]]
+        assert result.errors[0].exc_type == "FloatingPointError"
+        expected = [
+            r for i, r in enumerate(reference.records) if i != poison["trial"]
+        ]
+        assert canonical(result.records) == canonical(expected)
