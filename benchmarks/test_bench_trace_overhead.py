@@ -3,8 +3,8 @@
 Every trial now passes through the tracer's hook points even when no
 tracing was requested: ``CampaignSpec.trace_selected`` decides whether
 the trial is traced (computing the ``traced`` flag in ``sample_trial``)
-and the emission guard in ``_emit_trace`` checks that flag before
-returning.  ``trace_mode="off"`` is the default for every campaign in
+and the emission guard in ``_SafeTrialTask._complete`` checks that flag
+before returning the bare record.  ``trace_mode="off"`` is the default for every campaign in
 the repo, so that off-path cost is paid by *all* existing workloads —
 the ``OBL-TRACE-OVERHEAD`` obligation pins it below 1% of per-trial
 runtime.

@@ -14,8 +14,9 @@ inline noqa so the policy lives in one reviewable place
 RP108 guards the other direction of the same channel: the *artifacts*
 the observability stack writes.  Checkpoints, run logs, trace files and
 manifests all promise byte-identical, SIGKILL-safe snapshots, which only
-holds when every write goes through the atomic writers
-(``atomic_write_text`` / the checkpoint-style full-rewrite snapshot).  A
+holds when every write goes through the sanctioned writers
+(``atomic_write_text``, or the checkpoint journal, whose loader drops a
+torn last line and whose first flush republishes atomically).  A
 direct ``open(path, "a")`` append stream or ad-hoc ``json.dump`` in
 campaign code can tear mid-record on a kill and silently break the
 resume and parity contracts, so RP108 flags them inside campaign paths;
@@ -103,7 +104,7 @@ class NonAtomicObsWrite(Rule):
       file object it is handed; the atomic writers serialize to a string
       first and publish it with ``os.replace``.
 
-    The sanctioned writers (checkpoint, manifest, tracer) are exempted
+    The sanctioned writers (checkpoint journal, manifest) are exempted
     by path via ``obs-writer-exempt-paths``.
     """
 
@@ -123,8 +124,8 @@ class NonAtomicObsWrite(Rule):
                     ctx,
                     node,
                     "append-mode open() in campaign code can tear the artifact "
-                    "on SIGKILL; snapshot through atomic_write_text (or a "
-                    "CheckpointWriter/TraceWriter-style full rewrite) instead",
+                    "on SIGKILL; publish through atomic_write_text (or "
+                    "journal through CheckpointWriter) instead",
                 )
             elif (
                 name == "dump"

@@ -22,6 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,13 +50,7 @@ from repro.obs.metrics import (
     merge_timing,
 )
 from repro.obs.spans import enable_spans, span, timing_snapshot
-from repro.obs.tracer import (
-    TRACE_MODES,
-    TraceWriter,
-    build_trace,
-    default_trace_path,
-    load_trace,
-)
+from repro.obs.tracer import TRACE_MODES, TraceWriter, build_trace, default_trace_path
 from repro.utils.parallel import TrialFailure, effective_jobs, exc_summary, map_trials
 from repro.utils.rng import child_rng
 from repro.zoo.registry import eval_inputs, get_network
@@ -327,8 +322,8 @@ class ExecutionStats:
 class CampaignAbortedError(RuntimeError):
     """Raised when quarantined trials exceed the error-fraction budget.
 
-    Completed trials are flushed to the checkpoint (when one is
-    configured) before raising, so an aborted campaign loses no work.
+    Completed trials are in the checkpoint (when one is configured)
+    before this propagates, so an aborted campaign loses no work.
     """
 
     def __init__(self, message: str, n_errors: int, n_completed: int,
@@ -720,6 +715,17 @@ class _CampaignTask:
         )
 
 
+class _TracedRecord(NamedTuple):
+    """A traced trial's result: its record and its propagation-trace row.
+
+    The row travels with its record in the result stream, so the parent
+    journals both in one checkpoint line.
+    """
+
+    record: TrialRecord
+    trace: dict
+
+
 class _SafeTrialTask:
     """Per-worker wrapper: an exception inside a trial becomes a
     quarantined :class:`TrialError` instead of poisoning the chunk.
@@ -741,11 +747,6 @@ class _SafeTrialTask:
             # the per-layer forward spans inside them are captured.
             enable_spans()
         self.metrics = MetricsRegistry()
-        #: Propagation-trace rows for trials in the traced subset; like
-        #: the metric deltas, they ship back with the chunk's results in
-        #: :meth:`collect_obs`, so a crashed chunk loses its traces and
-        #: its records together and retries never duplicate rows.
-        self.traces: list[dict] = []
         #: Trials propagated per forward_from_batch call (see run_many).
         self.group_size = max(1, int(batch))
         self.task = _CampaignTask(spec, golden)
@@ -784,25 +785,8 @@ class _SafeTrialTask:
         """Release per-worker resources (the shared golden view)."""
         self.task.close()
 
-    def __call__(self, trial: int) -> TrialRecord | TrialError | TrialSkip:
+    def __call__(self, trial: int) -> TrialRecord | _TracedRecord | TrialError | TrialSkip:
         return next(self.run_many([trial]))
-
-    def _emit_trace(self, trial: int, meta: dict, injection: InjectionResult,
-                    record: TrialRecord) -> None:
-        """Derive and stage the trial's propagation-trace row, if traced."""
-        if not meta.get("traced"):
-            return
-        self.traces.append(
-            build_trace(
-                trial=trial,
-                meta=meta,
-                injection=injection,
-                record=record,
-                network=self.task.network,
-                detector=self.task.detector,
-                detector_checkpoints=self.task.detector_checkpoints,
-            )
-        )
 
     def _quarantine(self, trial: int, exc: Exception, site: str | None) -> TrialError:
         return TrialError(
@@ -819,8 +803,17 @@ class _SafeTrialTask:
         except Exception as exc:
             return self._quarantine(trial, exc, meta["site"])
         record_trial_metrics(self.metrics, record)
-        self._emit_trace(trial, meta, injection, record)
-        return record
+        if not meta["traced"]:
+            return record
+        return _TracedRecord(record, build_trace(
+            trial=trial,
+            meta=meta,
+            injection=injection,
+            record=record,
+            network=self.task.network,
+            detector=self.task.detector,
+            detector_checkpoints=self.task.detector_checkpoints,
+        ))
 
     def run_many(self, indices: list[int]) -> Iterator:
         """Run a slice of trials, yielding their results in ``indices`` order.
@@ -912,17 +905,9 @@ class _SafeTrialTask:
             results[pos] = self._complete(trial, meta, injection)
 
     def collect_obs(self) -> dict:
-        """Delta snapshot of metrics plus span timings since last call.
-
-        Trace rows staged since the previous collection ride along under
-        a ``"traces"`` key; the parent pops them into the trace sink
-        before merging the rest into its metrics registry.
-        """
+        """Delta snapshot of metrics plus span timings since last call."""
         snap = self.metrics.snapshot(reset=True)
         snap["timing"] = merge_timing(snap["timing"], timing_snapshot(reset=True))
-        if self.traces:
-            snap["traces"] = self.traces
-            self.traces = []
         return snap
 
 
@@ -1062,14 +1047,15 @@ def run_campaign(
             runs.  Like ``batch``, a pure execution knob: the golden
             bits are identical either way, so results, checkpoints and
             metric counters are bit-identical with it on or off.
-        checkpoint: JSONL checkpoint path; completed trials are
-            periodically snapshotted there (atomically).
+        checkpoint: JSONL checkpoint path: an append-only journal of
+            resolved trials, compacted into canonical index order when
+            the campaign completes or aborts.
         resume: Skip trial indices already present in ``checkpoint``.
             A checkpoint written under any other spec is refused
             (:class:`~repro.core.checkpoint.CheckpointMismatchError`).
             Previously quarantined trials are *not* re-run; delete the
             checkpoint to retry them.
-        checkpoint_every: Completed trials between snapshot flushes.
+        checkpoint_every: Resolved trials between journal appends.
         trial_timeout: Per-trial seconds before a chunk is declared hung
             (see :func:`repro.utils.parallel.map_trials`); None disables.
         max_retries: Retry budget per failing chunk / raising trial.
@@ -1105,12 +1091,12 @@ def run_campaign(
             ``spec.trace_mode != "off"``).  When None and ``checkpoint``
             is set, defaults to ``<checkpoint>.trace.jsonl`` next to it;
             with neither, trace rows are collected in memory only
-            (``CampaignResult.traces``).  The file is byte-identical
+            (``CampaignResult.traces``).  Rows are journaled in the
+            checkpoint with their records; the file is published once,
+            when the campaign completes or aborts, and is byte-identical
             across serial / parallel / batched / shared-mem / resumed
-            executions: rows are pure functions of the trial index, and
-            a resumed run re-executes any checkpointed trial whose trace
-            row had not reached disk (re-deriving identical bytes)
-            instead of leaving a hole.
+            executions because rows are pure functions of the trial
+            index.
     """
     recorder = events if events is not None else EventRecorder()
     registry = metrics if metrics is not None else MetricsRegistry()
@@ -1121,18 +1107,9 @@ def run_campaign(
     resumed = 0
     resumed_skips = 0
     tracing = spec.trace_mode != "off"
-    trace_writer = None
     trace_rows: dict[int, dict] = {}
-    if tracing:
-        if trace_path is None and checkpoint is not None:
-            trace_path = default_trace_path(checkpoint)
-        if trace_path is not None:
-            # Imported lazily: checkpoint.py depends on this module's types.
-            from repro.core.checkpoint import campaign_fingerprint
-
-            trace_writer = TraceWriter(
-                trace_path, campaign_fingerprint(spec), spec.trace_mode, spec.trace_every
-            )
+    if tracing and trace_path is None and checkpoint is not None:
+        trace_path = default_trace_path(checkpoint)
     if checkpoint is not None:
         # Imported lazily: checkpoint.py depends on this module's types.
         from repro.core.checkpoint import CheckpointWriter, load_checkpoint
@@ -1141,39 +1118,17 @@ def run_campaign(
         if resume:
             state = load_checkpoint(checkpoint, spec=spec)
             if state is not None:
-                retrace: set[int] = set()
-                if tracing:
-                    if trace_writer is not None:
-                        prior_header, prior_rows = load_trace(trace_writer.path)
-                        if (
-                            prior_header is not None
-                            and prior_header.get("fingerprint") == trace_writer.fingerprint
-                        ):
-                            trace_writer.preload(prior_rows)
-                            trace_rows.update(prior_rows)
-                    # Checkpointed trials whose trace row never reached
-                    # disk re-run purely for their trace: outcomes are
-                    # pure functions of the trial index, so the re-run
-                    # re-derives identical records and identical trace
-                    # bytes (already-traced trials are skipped as usual).
-                    retrace = {
-                        i for i in state.records
-                        if spec.trace_selected(i) and i not in trace_rows
-                    }
-                done.update(
-                    {i: r for i, r in state.records.items() if i not in retrace}
-                )
+                done.update(state.records)
                 done.update(state.errors)
                 done.update(state.skips)
+                trace_rows.update(state.traces)
                 writer.preload(state)
-                resumed = state.n_completed - len(retrace)
+                resumed = state.n_completed
                 resumed_skips = len(state.skips)
                 # Replay completed trials into the registry so resumed
-                # totals match an uninterrupted run's exactly (re-traced
-                # trials are excluded: their live re-run counts them).
-                for index, prior in state.records.items():
-                    if index not in retrace:
-                        record_trial_metrics(registry, prior)
+                # totals match an uninterrupted run's exactly.
+                for prior in state.records.values():
+                    record_trial_metrics(registry, prior)
                 for prior_skip in state.skips.values():
                     record_skip_metrics(registry, spec, prior_skip)
                 recorder.emit("resume", completed=resumed, path=str(checkpoint))
@@ -1221,7 +1176,7 @@ def run_campaign(
                 "trace": {
                     "mode": spec.trace_mode,
                     "every": spec.trace_every,
-                    "path": str(trace_writer.path) if trace_writer is not None else None,
+                    "path": str(trace_path) if trace_path is not None else None,
                 },
                 "spec": to_jsonable(spec),
             },
@@ -1272,18 +1227,13 @@ def run_campaign(
         # chunk loop) fold into the same registry as worker timings.
         registry.merge_snapshot({"timing": timing_snapshot(reset=True)})
 
-    def absorb_obs(snapshot: dict) -> None:
-        # Trace rows ride in the obs payload (same message as the
-        # chunk's results); strip them before the metrics merge.
-        for row in snapshot.pop("traces", None) or ():
-            trace_rows[int(row["index"])] = row
-            if trace_writer is not None:
-                trace_writer.add_row(row)
-        registry.merge_snapshot(snapshot)
-
     def absorb(index: int, value: object) -> None:
         nonlocal n_errors, n_skips, since_flush, last_progress
-        if isinstance(value, TrialFailure):
+        trace = None
+        if isinstance(value, _TracedRecord):
+            value, trace = value
+            trace_rows[index] = trace
+        elif isinstance(value, TrialFailure):
             # The supervised pool already emitted the quarantine event.
             value = TrialError(
                 index=index, reason=value.reason, exc_type=value.exc_type,
@@ -1303,16 +1253,9 @@ def run_campaign(
             elif isinstance(value, TrialSkip):
                 writer.add_skip(index, value)
             else:
-                writer.add_record(index, value)
+                writer.add_record(index, value, trace)
             since_flush += 1
             if since_flush >= checkpoint_every:
-                # Trace rows received so far go to disk first; any trial
-                # the checkpoint holds without a trace row (a kill can
-                # always land between result and obs arrival) is re-run
-                # on resume purely for its trace, so no flush ordering
-                # can leave a permanent hole.
-                if trace_writer is not None:
-                    trace_writer.flush()
                 with span("checkpoint_flush"):
                     writer.flush()
                 since_flush = 0
@@ -1323,11 +1266,7 @@ def run_campaign(
                 last_progress = now
                 emit_progress()
         if n_errors > error_budget:
-            if trace_writer is not None:
-                trace_writer.flush()
-            if writer is not None:
-                writer.flush()
-                since_flush = 0
+            # The checkpoint and trace are published on the way out.
             recorder.emit("abort", errors=n_errors, completed=len(done))
             raise CampaignAbortedError(
                 f"{n_errors} quarantined trials exceed max_error_frac="
@@ -1371,7 +1310,7 @@ def run_campaign(
                     backoff_cap=backoff_cap,
                     on_event=recorder.emit,
                     on_result=absorb,
-                    on_obs=absorb_obs,
+                    on_obs=registry.merge_snapshot,
                 )
             elif planner is not None:
                 # Fully-resumed early-stopping run: no trials to execute,
@@ -1385,13 +1324,20 @@ def run_campaign(
 
                 release_segment(shm_handle)
                 recorder.emit("shm_unlink", segment=descriptor.segment)
-            if trace_writer is not None:
-                # The last obs payload can arrive after the last
-                # cadence flush; publish whatever rows are staged.
-                trace_writer.flush()
-            if writer is not None and since_flush:
+            # Completed or aborted: publish the canonical checkpoint,
+            # then the trace file from every row the campaign holds.
+            if writer is not None:
                 with span("checkpoint_flush"):
-                    writer.flush()
+                    writer.compact()
+            if tracing and trace_path is not None:
+                from repro.core.checkpoint import campaign_fingerprint
+
+                trace_writer = TraceWriter(
+                    trace_path, campaign_fingerprint(spec), spec.trace_mode, spec.trace_every
+                )
+                for row in trace_rows.values():
+                    trace_writer.add_row(row)
+                trace_writer.flush()
     except BaseException as exc:
         if observer is not None:
             drain_spans()

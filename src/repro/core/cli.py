@@ -99,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     resilience.add_argument("--resume", action="store_true",
                             help="skip trial indices already in --checkpoint")
     resilience.add_argument("--checkpoint-every", type=int, default=64, metavar="N",
-                            help="completed trials between checkpoint flushes")
+                            help="resolved trials between checkpoint journal appends")
     resilience.add_argument("--trial-timeout", type=float, default=None, metavar="SEC",
                             help="per-trial time budget; hung chunks are killed and retried")
     resilience.add_argument("--max-retries", type=int, default=2, metavar="N",

@@ -287,7 +287,10 @@ def _recipe_campaign_parity(params: dict, root: Path, timeout: float) -> dict:
                 # to its first half of entry lines (header preserved), then
                 # a resumed run on top of it.  Truncating the real file —
                 # rather than re-writing records by position — keeps trial
-                # indices and early-stop skip entries faithful.
+                # indices and early-stop skip entries faithful.  Trace rows
+                # live on their records' lines, so the truncation tears the
+                # trace back too: the resumed run must re-derive the second
+                # half of the rows byte-for-byte.
                 ref_ck = tmpdir / "ref.jsonl"
                 run_campaign(spec, checkpoint=ref_ck, **_trace_kwargs("ref"))
                 half_ck = tmpdir / "half.jsonl"
@@ -297,18 +300,6 @@ def _recipe_campaign_parity(params: dict, root: Path, timeout: float) -> dict:
                     "\n".join([header] + entries[: len(entries) // 2]) + "\n",
                     encoding="utf-8",
                 )
-                if tracing:
-                    # The kill also tears the trace back: the resumed run
-                    # gets only the first half of the rows and must
-                    # re-derive the rest byte-for-byte.
-                    tlines = (tmpdir / "ref.trace.jsonl").read_text(
-                        encoding="utf-8"
-                    ).splitlines()
-                    (tmpdir / "resume.trace.jsonl").write_text(
-                        "\n".join([tlines[0]] + tlines[1: 1 + (len(tlines) - 1) // 2])
-                        + "\n",
-                        encoding="utf-8",
-                    )
                 result = run_campaign(spec, checkpoint=half_ck, resume=True,
                                       **_trace_kwargs("resume"))
                 diverged = _summary_divergences(base_summary, _comparable_summary(result))

@@ -24,12 +24,13 @@ the batched path's dead-trial collapse retires a trial by patching
 golden rows back in exactly when its activation bits equal golden, so
 it reports the same masking layer as the serial path.
 
-The on-disk form is JSONL next to the checkpoint
+While a campaign runs, a traced trial's row is journaled in the
+checkpoint on the same line as its record (see
+:mod:`repro.core.checkpoint`), so a record and its row reach disk
+together or not at all.  The trace file is JSONL next to the checkpoint
 (``<checkpoint>.trace.jsonl``): a header line followed by one row per
-traced trial, in index order, republished atomically on every flush
-(full-rewrite snapshot via ``atomic_write_text``, like the checkpoint
-writer — an ``open(..., "a")`` append stream could tear on SIGKILL and
-is what lint rule RP108 exists to catch).
+traced trial, in index order, published once via ``atomic_write_text``
+when the campaign completes or aborts.
 """
 
 from __future__ import annotations
@@ -200,12 +201,10 @@ def build_trace(
 
 
 class TraceWriter:
-    """Accumulates trace rows and snapshots them atomically.
+    """Publishes a campaign's trace rows as one atomic file.
 
-    Mirrors :class:`~repro.core.checkpoint.CheckpointWriter`: rows are
-    keyed by trial index (re-runs after a resume overwrite themselves
-    with identical bytes), each flush rewrites header + rows in index
-    order to a pid-unique temp file and publishes it with
+    Rows are keyed by trial index; :meth:`flush` writes header + rows in
+    index order to a pid-unique temp file and publishes it with
     ``os.replace``.  The header carries no path or wall-clock, so two
     runs of the same spec produce byte-identical files — the
     ``OBL-TRACE-PARITY`` gate compares them with ``read_bytes``.
@@ -221,29 +220,12 @@ class TraceWriter:
             "trace": {"mode": mode, "every": int(every)},
         }
         self._rows: dict[int, dict] = {}
-        self._dirty = False
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> dict[int, dict]:
-        return dict(self._rows)
 
     def add_row(self, row: dict) -> None:
         self._rows[int(row["index"])] = row
-        self._dirty = True
-
-    def preload(self, rows: dict[int, dict]) -> None:
-        """Carry a resumed run's prior trace rows into later snapshots."""
-        for index, row in rows.items():
-            self._rows[int(index)] = row
-        self._dirty = self._dirty or bool(rows)
 
     def flush(self) -> Path:
-        """Publish an atomic snapshot of every row added so far."""
-        if not self._dirty and self.path.exists():
-            return self.path
+        """Publish header + every row added, atomically."""
         # Lazy import (cycle: checkpoint imports campaign).
         from repro.core.checkpoint import atomic_write_text
 
@@ -252,7 +234,6 @@ class TraceWriter:
             json.dumps(self._rows[index], sort_keys=True) for index in sorted(self._rows)
         )
         atomic_write_text(self.path, "\n".join(lines) + "\n")
-        self._dirty = False
         return self.path
 
 

@@ -34,6 +34,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.serialize import campaign_summary, to_jsonable
 from repro.core.tracing import EventRecorder
+from repro.obs.tracer import default_trace_path
 from repro.utils.parallel import TrialFailure, map_trials
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -309,3 +310,73 @@ class TestCheckpointResume:
         reference = run_campaign(spec)
         assert resumed.stats.resumed == state.n_completed
         assert _records_key(resumed) == _records_key(reference)
+
+
+class TestTornJournal:
+    """A SIGKILL during an append tears at most the journal's last line."""
+
+    SPEC = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=30, seed=5,
+                        trace_mode="all")
+
+    def _reference(self, tmp_path) -> tuple[bytes, bytes]:
+        path = tmp_path / "reference.jsonl"
+        run_campaign(self.SPEC, checkpoint=path)
+        return path.read_bytes(), default_trace_path(path).read_bytes()
+
+    def test_partial_last_line_is_dropped_and_rerun(self, tmp_path):
+        want_ck, want_trace = self._reference(tmp_path)
+        lines = want_ck.decode("utf-8").splitlines(keepends=True)
+        # Header + 10 whole entries, then half of the 11th, no newline.
+        torn = "".join(lines[:11]) + lines[11][: len(lines[11]) // 2]
+        path = tmp_path / "torn.jsonl"
+        path.write_text(torn, encoding="utf-8")
+        state = load_checkpoint(path, spec=self.SPEC)
+        assert sorted(state.records) == list(range(10))
+
+        # Appending after every trial: the journal must not grow on top
+        # of the torn fragment.
+        resumed = run_campaign(self.SPEC, checkpoint=path, resume=True, checkpoint_every=1)
+        assert resumed.stats.resumed == 10
+        assert path.read_bytes() == want_ck
+        assert default_trace_path(path).read_bytes() == want_trace
+
+    def test_sigkill_during_appends_then_resume_byte_identical(self, tmp_path):
+        want_ck, want_trace = self._reference(tmp_path)
+        path = tmp_path / "killed.jsonl"
+        env = dict(os.environ)
+        env["REPRO_CAMPAIGN_FAULT"] = "slow:*:0.05"
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.core.cli",
+             "--network", "ConvNet", "--trials", "30", "--seed", "5",
+             "--trace", "all",
+             "--checkpoint", str(path), "--checkpoint-every", "1"],
+            env=env, cwd=REPO_ROOT,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+
+        def n_lines() -> int:
+            return path.read_bytes().count(b"\n") if path.exists() else 0
+
+        try:
+            # The first flush publishes header + one trial; two more
+            # lines prove at least two appends have landed.
+            deadline = time.perf_counter() + 60.0
+            while time.perf_counter() < deadline and n_lines() < 4:
+                time.sleep(0.01)
+                if proc.poll() is not None:
+                    pytest.fail("campaign finished before it could be killed")
+            assert n_lines() >= 4, "no appends reached the journal before the deadline"
+        finally:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+
+        state = load_checkpoint(path, spec=self.SPEC)
+        assert state is not None and 3 <= state.n_completed < self.SPEC.n_trials
+        assert not default_trace_path(path).exists()
+
+        resumed = run_campaign(self.SPEC, checkpoint=path, resume=True, checkpoint_every=1)
+        assert resumed.stats.resumed == state.n_completed
+        assert path.read_bytes() == want_ck
+        assert default_trace_path(path).read_bytes() == want_trace

@@ -7,7 +7,8 @@ the trace JSONL is byte-identical across serial / ``--jobs N`` /
 batched engine's dead-trial collapse, which must report the same
 masking layer as the serial path.  Everything here either asserts that
 directly or exercises the machinery around it (sampling-as-identity,
-resume retrace, the ``repro-obs trace`` renderings).
+trace rows journaled with their records, the ``repro-obs trace``
+renderings).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.campaign import CampaignSpec, run_campaign
-from repro.core.checkpoint import campaign_fingerprint
+from repro.core.checkpoint import campaign_fingerprint, load_checkpoint
 from repro.core.serialize import campaign_summary
 from repro.obs import cli as obs_cli
 from repro.obs.tracer import (
@@ -159,8 +160,33 @@ class TestTraceResume:
         resumed = run_campaign(SPEC, checkpoint=ref_ck, resume=True)
         assert ref_trace.read_bytes() == want
         assert resumed.traces == run_campaign(SPEC).traces
-        # Checkpointed-but-untraced trials were re-run, not replayed.
-        assert resumed.stats.resumed == SPEC.n_trials // 3
+        # The rows live in the checkpoint with their records: nothing
+        # re-runs, and the trace file is republished from the journal.
+        assert resumed.stats.resumed == SPEC.n_trials
+
+    def test_record_without_trace_row_reruns(self, tmp_path):
+        ck = tmp_path / "ck.jsonl"
+        run_campaign(SPEC, checkpoint=ck)
+        trace = default_trace_path(ck)
+        want_ck, want_trace = ck.read_bytes(), trace.read_bytes()
+
+        # A version-1 style line: the record made it, its row did not.
+        lines = ck.read_text(encoding="utf-8").splitlines()
+        stripped = [1, 7, 20]
+        for i in stripped:
+            entry = json.loads(lines[1 + i])
+            assert entry["index"] == i
+            del entry["trace"]
+            lines[1 + i] = json.dumps(entry, sort_keys=True)
+        ck.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        trace.unlink()
+        state = load_checkpoint(ck, spec=SPEC)
+        assert sorted(set(range(SPEC.n_trials)) - set(state.records)) == stripped
+
+        resumed = run_campaign(SPEC, checkpoint=ck, resume=True)
+        assert resumed.stats.resumed == SPEC.n_trials - len(stripped)
+        assert ck.read_bytes() == want_ck
+        assert trace.read_bytes() == want_trace
 
     def test_fingerprint_mismatch_trace_is_rebuilt(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
@@ -175,8 +201,9 @@ class TestTraceResume:
                          encoding="utf-8")
         resumed = run_campaign(SPEC, checkpoint=ck, resume=True)
         assert trace.read_bytes() == want
-        # Every trial was retraced from scratch; none could be trusted.
-        assert resumed.stats.resumed == 0
+        # The stale trace file is never read: every row comes back from
+        # the checkpoint journal, and no trial re-runs.
+        assert resumed.stats.resumed == SPEC.n_trials
 
     def test_kill_midflight_then_resume_trace_byte_identical(self, tmp_path):
         spec = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=30, seed=5,
@@ -195,19 +222,23 @@ class TestTraceResume:
         )
         trace = default_trace_path(path)
         try:
+            # The trace file appears only at completion; the checkpoint
+            # journal (records with their rows) proves the run is mid-flight.
             deadline = time.perf_counter() + 60.0
-            while time.perf_counter() < deadline and not trace.exists():
+            while time.perf_counter() < deadline and not path.exists():
                 time.sleep(0.05)
                 if proc.poll() is not None:
                     pytest.fail("campaign finished before it could be killed")
-            assert trace.exists(), "no trace snapshot appeared before the deadline"
+            assert path.exists(), "no checkpoint appeared before the deadline"
         finally:
             if proc.poll() is None:
                 proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
 
-        header, partial = load_trace(trace)
-        assert header is not None and len(partial) < spec.n_trials
+        assert not trace.exists()
+        partial = load_checkpoint(path, spec=spec)
+        assert partial is not None and len(partial.traces) < spec.n_trials
+        assert sorted(partial.traces) == sorted(partial.records)
 
         resumed = run_campaign(spec, checkpoint=path, resume=True)
         reference_trace = tmp_path / "reference.trace.jsonl"
