@@ -27,9 +27,9 @@ sinks by RP601) and ``dtype-sinks`` (fixed-point consumer names for
 RP611/RP612).  ``float-eq-exempt-paths`` and ``script-paths`` carve the
 test/benchmark suites and example scripts out of RP201 and RP501, where
 exact comparison and script-style modules are deliberate.
-``obs-writer-exempt-paths`` names the sanctioned artifact writers
-(checkpoint journal, manifest) that RP108 exempts from its ban on direct
-append-mode JSON writes in campaign paths.
+``obs-writer-exempt-paths`` names the sanctioned artifact writer inside
+campaign paths (the checkpoint journal) that RP108 exempts from its ban
+on direct append-mode JSON writes.
 """
 
 from __future__ import annotations
@@ -74,10 +74,7 @@ class LintConfig:
     #: appending JSON records directly can tear on SIGKILL and break the
     #: byte-identity contract; these modules *are* the artifact writers
     #: and are exempt from their own rule.
-    obs_writer_exempt_paths: tuple[str, ...] = (
-        "repro/core/checkpoint.py",
-        "repro/obs/manifest.py",
-    )
+    obs_writer_exempt_paths: tuple[str, ...] = ("repro/core/checkpoint.py",)
     #: Paths where exact float ==/!= is the *point* (bit-exactness
     #: assertions in the test/benchmark suites) — RP201 skips them.
     float_eq_exempt_paths: tuple[str, ...] = ("tests", "benchmarks")

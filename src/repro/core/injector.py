@@ -18,9 +18,10 @@ forward pass from the fault layer onward.
 Each engine is split into two separable stages:
 
 - ``prepare_*`` builds the corruption — it replays the corrupted MAC
-  chain(s), decides maskedness, and produces a
-  :class:`PreparedInjection` holding the patched activation plus the
-  input-row span the corruption is confined to;
+  chain(s) (an Img-REG fault replays all of its affected chains at once:
+  one window gather, one multiply, one accumulate), decides maskedness,
+  and produces a :class:`PreparedInjection` holding the patched
+  activation plus the input-row span the corruption is confined to;
 - :func:`propagate_group` pushes unmasked corruptions that share a
   resume layer through the network tail in one
   :meth:`~repro.nn.network.Network.forward_from_batch` call — the one
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dtypes.base import DataType
+from repro.nn.im2col import window_out_span
 from repro.nn.layers.base import MacChain, MacLayer
 from repro.nn.network import InferenceResult, Network
 from repro.core.fault import BufferFault, DatapathFault
@@ -353,63 +355,56 @@ def _prepare_row_activation(
     Only the output elements of ``fault.residency_row`` whose windows
     cover the victim pixel consume the corrupted register; every other
     window re-reads the (correct) value from the Filter/Global buffers.
-    Each affected element's chain is replayed with the corrupted tap.
+    Every affected (filter, column) chain is replayed bit-exactly, clean
+    and corrupted, in one pass: one gather of the affected windows'
+    taps, one multiply for the clean products (the corrupted chain
+    differs from its clean twin in the victim's tap alone, so that one
+    product is overwritten per chain), and one ``accumulate_batch`` over
+    both stacks.
     """
     layer = network.layers[fault.layer_index]
     store = storage_dtype or dtype
     x = golden.activations[fault.layer_index]
     before = float(x[fault.victim])
-    _, yy, xx_pos = fault.victim
+    ch, yy, xx_pos = fault.victim
     oy = fault.residency_row
-    if not (oy * layer.stride - layer.pad <= yy <= oy * layer.stride - layer.pad + layer.kernel - 1):
+    k, stride, pad = layer.kernel, layer.stride, layer.pad
+    y0 = oy * stride - pad  # top input row of the residency row's windows
+    if not y0 <= yy <= y0 + k - 1:
         # Residency row does not read the victim pixel: fault never
-        # consumed.  Checked before any chain/copy work — a miss costs
-        # nothing (this check once ran after the affected-column scan and
-        # the full ifmap copy, doing that work just to discard it).
+        # consumed.  Checked before any chain/copy work, so a miss costs
+        # nothing.
         return PreparedInjection(fault.layer_index + 1, True, before, before)
     after = float(store.flip_bits(np.array([before]), fault.bit, fault.burst)[0])
     if after == before:
         return PreparedInjection(fault.layer_index + 1, True, before, before)
 
-    x_bad = x.copy()
-    x_bad[fault.victim] = dtype.quantize(np.array([after]))[0]
     _, _, ow = layer.out_shape(x.shape)
-    affected_cols = [
-        ox
-        for ox in range(ow)
-        if ox * layer.stride - layer.pad <= xx_pos <= ox * layer.stride - layer.pad + layer.kernel - 1
-    ]
-    act = golden.activations[fault.layer_index + 1].copy()
-    narrow = (
-        storage_dtype
-        if storage_dtype is not None
-        and fault.layer_index in network.block_output_indices()
-        else None
-    )
-    # Batch the affected chains: all (filter, column) pairs of the
-    # residency row, replayed bit-exactly with and without the corrupt
-    # tap in one vectorized accumulate each.
-    indices = [(f, oy, ox) for f in range(layer.out_channels) for ox in affected_cols]
-    prods_bad, prods_ok, biases = [], [], []
-    for idx in indices:
-        chain_bad = layer.mac_operands(x_bad, idx, dtype)
-        chain_ok = layer.mac_operands(x, idx, dtype)
-        prods_bad.append(dtype.multiply(chain_bad.weights, chain_bad.inputs))
-        prods_ok.append(dtype.multiply(chain_ok.weights, chain_ok.inputs))
-        biases.append(chain_bad.bias)
-    bias_vec = np.asarray(biases)
-    v_bad = dtype.accumulate_batch(np.asarray(prods_bad), bias_vec)
-    v_ok = dtype.accumulate_batch(np.asarray(prods_ok), bias_vec)
-    if narrow is not None:
-        v_bad = narrow.quantize(v_bad)
-        v_ok = narrow.quantize(v_ok)
+    cols = np.arange(*window_out_span(xx_pos, xx_pos + 1, k, stride, pad, ow))
+    if not cols.size:  # a strided sweep that skips the victim column
+        return PreparedInjection(fault.layer_index + 1, True, before, before)
+    nf, nc = layer.out_channels, cols.size
+    w, b = layer.quantized_weights(dtype)
+    wmat = w.reshape(nf, -1)
+    taps = layer.window_taps(x, oy, cols)
+    # The victim's MAC step in each affected column's chain.
+    t = ch * k * k + (yy - y0) * k + (xx_pos - (cols * stride - pad))
+    # prods[0]: clean chains, prods[1]: corrupted chains, (filter, column) each.
+    prods = np.stack([dtype.multiply(wmat[:, None, :], taps[None])] * 2)
+    q_after = dtype.quantize(np.array([after]))
+    prods[1][:, np.arange(nc), t] = dtype.multiply(wmat[:, t], q_after)
+    bias = np.tile(np.repeat(b, nc), 2)
+    v = dtype.accumulate_batch(prods.reshape(2 * nf * nc, -1), bias)
+    if storage_dtype is not None and fault.layer_index in network.block_output_indices():
+        v = storage_dtype.quantize(v)
+    v_ok, v_bad = v.reshape(2, nf, nc)
     with np.errstate(invalid="ignore"):
         differs = (v_bad != v_ok) & ~(np.isnan(v_bad) & np.isnan(v_ok))
     if not differs.any():
         return PreparedInjection(fault.layer_index + 1, True, before, before)
-    for pos, idx in enumerate(indices):
-        if differs[pos]:
-            act[idx] = v_bad[pos]
+    f_idx, c_idx = np.nonzero(differs)
+    act = golden.activations[fault.layer_index + 1].copy()
+    act[f_idx, oy, cols[c_idx]] = v_bad[f_idx, c_idx]
     # All patched elements sit in output row ``oy``.
     return PreparedInjection(
         fault.layer_index + 1, False, before, after, act, (oy, oy + 1)

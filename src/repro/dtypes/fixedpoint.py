@@ -92,12 +92,14 @@ class FixedPointType(DataType):
         if raw.size and (raw.max(initial=0) > self._imax or raw.min(initial=0) < self._imin):
             # Saturation engaged mid-chain: replay sequentially so each
             # partial sum clips exactly like the accumulator register.
-            out = np.empty_like(raw)
+            # One chain has no second row to vectorise across, and a
+            # numpy step per element costs more than a Python int step.
+            out = []
             acc = 0
-            for i, v in enumerate(ints):
-                acc = min(max(acc + int(v), self._imin), self._imax)
-                out[i] = acc
-            raw = out
+            for v in ints.tolist():
+                acc = min(max(acc + v, self._imin), self._imax)
+                out.append(acc)
+            raw = np.array(out, dtype=np.int64)
         return self.from_int(raw)
 
     def accumulate(self, products: np.ndarray) -> float:
@@ -117,11 +119,16 @@ class FixedPointType(DataType):
         # Rows whose running sum ever left the rails need the exact
         # saturating replay; everywhere else cumsum is already exact.
         bad = (raw.max(axis=1) > self._imax) | (raw.min(axis=1) < self._imin)
-        for r in np.nonzero(bad)[0]:
-            acc = 0
-            for v in ints[r]:
-                acc = min(max(acc + int(v), self._imin), self._imax)
-            out[r] = acc
+        if bad.any():
+            # A column scan over those rows: one add-and-clip per MAC step.
+            # Each partial sum stays inside the rails, so ``acc + v``
+            # cannot overflow int64 (``width <= 63``).
+            acc = np.zeros(int(bad.sum()), dtype=np.int64)
+            for col in np.ascontiguousarray(ints[bad].T):
+                np.add(acc, col, out=acc)
+                np.maximum(acc, self._imin, out=acc)
+                np.minimum(acc, self._imax, out=acc)
+            out[bad] = acc
         return self.from_int(out)  # repro: noqa[RP611]
 
     # -- range -------------------------------------------------------------- #

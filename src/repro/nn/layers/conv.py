@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.dtypes.base import DataType
 from repro.nn.im2col import (
+    _patch_grid,
     col2im,
     col_indices,
     conv_out_size,
@@ -269,3 +270,27 @@ class Conv2D(MacLayer):
         taps = np.zeros(cc.shape[0], dtype=np.float64)
         taps[valid] = x[cc[valid], yy[valid], xx[valid]]
         return MacChain(weights=w[f].ravel().copy(), inputs=taps, bias=float(b[f]))
+
+    def window_taps(self, x: np.ndarray, oy: int, cols: np.ndarray) -> np.ndarray:
+        """Input taps of the windows of output row ``oy`` at columns ``cols``.
+
+        One fancy-index gather for many MAC chains: row ``n`` holds what
+        :meth:`mac_operands` returns as ``inputs`` for output ``(f, oy,
+        cols[n])`` (any ``f``), in the same step order, with zeros where
+        a tap falls in the padding.
+
+        Args:
+            x: Unbatched input ``(c, h, w)``.
+            oy: Output row.
+            cols: Output columns, shape ``(n,)``.
+
+        Returns:
+            ``(n, c * kernel * kernel)`` float64 taps.
+        """
+        c, h, w = x.shape
+        cc, ky, kx = _patch_grid(c, self.kernel, self.kernel)
+        yy = oy * self.stride - self.pad + ky
+        xx = np.asarray(cols)[:, None] * self.stride - self.pad + kx
+        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        taps = x[cc, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
+        return np.where(valid, taps, 0.0)

@@ -166,8 +166,8 @@ class TestRowActivationResidencyMiss:
         """A residency row that never reads the victim must cost nothing.
 
         The miss check sits before any chain replay or fmap copy; if the
-        engine regresses to scanning affected columns first, the
-        monkeypatched ``mac_operands`` below fires and fails the test.
+        engine regresses to gathering the affected windows first, the
+        monkeypatched ``window_taps`` below fires and fails the test.
         """
         network = build_tiny_network()
         golden = network.forward(tiny_input, dtype=FLOAT16, record=True)
@@ -176,7 +176,7 @@ class TestRowActivationResidencyMiss:
         def boom(*args, **kwargs):
             raise AssertionError("residency miss must not replay MAC chains")
 
-        layer.mac_operands = boom
+        layer.window_taps = boom
         # Victim pixel row 0; residency row 7's window covers rows 6..8.
         fault = BufferFault(
             scope="row_activation", layer_index=0, victim=(0, 0, 0), bit=3,
@@ -184,6 +184,14 @@ class TestRowActivationResidencyMiss:
         )
         prep = prepare_buffer(network, FLOAT16, fault, golden)
         assert prep.masked
+        # Control: residency row 0 reads the victim, so the build gathers
+        # its windows and the patched ``window_taps`` fires.
+        hit = BufferFault(
+            scope="row_activation", layer_index=0, victim=(0, 0, 0), bit=3,
+            residency_row=0,
+        )
+        with pytest.raises(AssertionError, match="must not replay"):
+            prepare_buffer(network, FLOAT16, hit, golden)
 
 
 class TestCampaignBatchParity:

@@ -2,7 +2,7 @@
 fault injector depends on."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dtypes import DTYPES
@@ -106,3 +106,37 @@ def test_quantize_error_bounded(name, x):
         # (and underflow to zero) have absolute, not relative, spacing.
         if np.isfinite(q) and q != 0 and abs(q) >= float(np.finfo(dt.np_dtype).tiny):
             assert abs(q - x) <= abs(x) * 2.0 ** (-7)  # coarsest: fp16, 10-bit mantissa
+
+
+#: Chain elements as fractions of a format's largest finite value: beyond
+#: +-1 they quantize onto a fixed-point rail or a float infinity.
+rail_fracs = st.one_of(
+    st.sampled_from([0.0, 0.5, -0.5, 0.75, -0.75, 1.0, -1.0, 2.0, -2.0]),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+)
+
+
+@given(
+    name=st.sampled_from(DTYPE_NAMES),
+    rows=st.integers(min_value=1, max_value=24).flatmap(
+        lambda n: st.lists(
+            st.lists(rail_fracs, min_size=n, max_size=n), min_size=1, max_size=6
+        )
+    ),
+)
+# Fixed point: leave the upper rail, come back, leave the lower one.
+@example(name="16b_rb10", rows=[[0.75, 0.75, -0.75, -0.75, -0.75, 0.75]])
+@example(name="32b_rb26", rows=[[0.5, 0.75, -0.25, -1.0, -1.0, 0.5], [0.1] * 6])
+# FLOAT16: overflow to inf, then inf + -inf = NaN.
+@example(name="FLOAT16", rows=[[0.75, 0.75, -0.5, 0.0], [2.0, -2.0, 0.5, 0.5]])
+@settings(max_examples=150, deadline=None)
+def test_accumulate_batch_equals_rowwise_accumulate(name, rows):
+    """``accumulate_batch(P, b)`` is ``accumulate([b_i, *P_i])`` per row,
+    bit for bit, including rows that saturate or overflow mid-chain."""
+    dt = DTYPES[name]
+    with np.errstate(over="ignore"):
+        full = dt.quantize(np.array(rows) * dt.max_value)
+    bias, products = full[:, 0], full[:, 1:]
+    got = dt.accumulate_batch(products, bias)
+    want = np.array([dt.accumulate(row) for row in full])
+    assert got.tobytes() == want.tobytes()
