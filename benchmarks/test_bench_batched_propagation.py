@@ -20,7 +20,7 @@ delta propagation and dead-trial collapse.
 from time import perf_counter
 
 from conftest import _registry
-from repro.core.campaign import CampaignSpec, _SafeTrialTask
+from repro.core.campaign import CampaignSpec, _SafeTrialTask, build_golden_state
 from tests.reference_engine import reference_campaign
 
 from bench_common import TRIALS
@@ -53,7 +53,7 @@ def _same(a, b) -> bool:
 
 
 def _measure():
-    task = _SafeTrialTask(SPEC)
+    task = _SafeTrialTask(SPEC, build_golden_state(SPEC))
     idx = list(range(TRIALS))
 
     def reference():

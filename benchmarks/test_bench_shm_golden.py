@@ -1,30 +1,34 @@
 """Bench: shared-memory golden state vs per-worker golden inference.
 
-Without shared golden state every pool worker that receives a chunk
-rebuilds the campaign task: golden inference over every evaluation
-input plus SED detector learning, duplicated per worker — pure
-overhead, since trial outcomes depend on the golden *bits*, not on who
-computed them.  With ``shared_golden=True`` the parent computes the
-golden state once, publishes it into a ``multiprocessing.shared_memory``
-segment and workers attach read-only views (docs/architecture.md,
-"Shared golden state").  Results are bit-identical by contract; this
-bench measures what the sharing buys and enforces the >= 1.5x floor at
+A multi-worker campaign builds its golden state once, in the parent
+(golden inference over every evaluation input plus SED detector
+learning), publishes it into a ``multiprocessing.shared_memory``
+segment, and workers attach read-only views (docs/architecture.md,
+"Shared golden state").  The baseline is what every worker did before
+the state was shared: build its own golden state on pool start — pure
+duplicated work, since trial outcomes depend on the golden *bits*, not
+on who computed them.  Records are bit-identical by contract; this bench
+measures what the sharing buys and enforces the >= 1.5x floor at
 jobs >= 2.
 
 Protocol: the init-dominated regime the sharing exists for — full-scale
 NiN (all-conv, so forwards are expensive while the weight payload stays
 small) with the SED detector, 8 evaluation inputs, and a chunk size
 that puts work on both workers so each one pays the duplicated init.
-One timed run per mode after a warm-up that fills the on-disk weight
-cache and the in-process network memo (inherited by forked workers, so
-neither mode pays weight generation).
+The baseline drives a per-worker task factory through ``map_trials``;
+the shared run is ``run_campaign``.  One timed run per mode after a
+warm-up that fills the on-disk weight cache and the in-process network
+memo (inherited by forked workers, so neither mode pays weight
+generation).
 """
 
+import json
 from time import perf_counter
 
 from conftest import _registry
-from repro.core.campaign import CampaignSpec, run_campaign
-from repro.gate.recipes import _comparable_summary
+from repro.core.campaign import CampaignSpec, _SafeTrialTask, build_golden_state, run_campaign
+from repro.core.serialize import to_jsonable
+from repro.utils.parallel import map_trials
 
 SPEC = CampaignSpec(
     network="NiN",
@@ -42,6 +46,11 @@ BATCH = 16
 CHUNK = 16  # 32 trials / 16 = one chunk per worker: both must initialise
 
 
+def _per_worker_task():
+    """Each worker builds its own golden state (the unshared baseline)."""
+    return _SafeTrialTask(SPEC, build_golden_state(SPEC), batch=BATCH)
+
+
 def _timed(fn):
     start = perf_counter()
     result = fn()
@@ -49,13 +58,14 @@ def _timed(fn):
 
 
 def _measure():
-    run = lambda shm: run_campaign(
-        SPEC, jobs=JOBS, batch=BATCH, chunk=CHUNK, shared_golden=shm
+    shared_run = lambda: run_campaign(SPEC, jobs=JOBS, batch=BATCH, chunk=CHUNK).records
+    baseline_run = lambda: map_trials(
+        _per_worker_task, jobs=JOBS, chunk=CHUNK, indices=range(SPEC.n_trials)
     )
-    run(True)  # warm: weight cache on disk, network memo in the parent
-    baseline_s, baseline = _timed(lambda: run(False))
-    shm_s, shared = _timed(lambda: run(True))
-    identical = _comparable_summary(baseline) == _comparable_summary(shared)
+    shared_run()  # warm: weight cache on disk, network memo in the parent
+    baseline_s, baseline = _timed(baseline_run)
+    shm_s, shared = _timed(shared_run)
+    identical = json.dumps(to_jsonable(baseline)) == json.dumps(to_jsonable(shared))
     return baseline_s, shm_s, identical
 
 
@@ -68,7 +78,7 @@ def test_bench_shm_golden(run_once):
     registry.set_gauge("campaign/shm_speedup", speedup)
     print(f"\nper-worker golden inference  {baseline_s:6.2f}s")
     print(f"shared golden segment        {shm_s:6.2f}s  ({speedup:.2f}x)")
-    assert identical, "shared-golden summary diverges from per-worker baseline"
+    assert identical, "shared-golden records diverge from the per-worker baseline"
     assert speedup >= 1.5, (
         f"shared golden state below the 1.5x floor at jobs={JOBS}: {speedup:.2f}x"
     )

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.core.outcome import SDC_CLASSES, Outcome, classify_outcome
 from repro.core.stats import RateEstimate, wilson_halfwidth
 from repro.core.tracing import EventRecorder
 from repro.dtypes.registry import get_dtype
+from repro.nn.network import InferenceResult
 from repro.obs.metrics import (
     MetricsRegistry,
     empty_snapshot,
@@ -55,6 +56,11 @@ from repro.utils.parallel import TrialFailure, effective_jobs, exc_summary, map_
 from repro.utils.rng import child_rng
 from repro.zoo.registry import eval_inputs, get_network
 
+if TYPE_CHECKING:
+    # Imported lazily at run time: shared memory costs import time and
+    # memory that inline (jobs=1) campaigns never use.
+    from repro.core.sharedgolden import GoldenDescriptor
+
 __all__ = [
     "CampaignSpec",
     "TrialRecord",
@@ -63,6 +69,8 @@ __all__ = [
     "ExecutionStats",
     "CampaignAbortedError",
     "CampaignResult",
+    "GoldenState",
+    "build_golden_state",
     "record_trial_metrics",
     "record_skip_metrics",
     "stratum_key",
@@ -285,7 +293,7 @@ def record_skip_metrics(metrics: MetricsRegistry, spec: CampaignSpec, skip: Tria
     Same discipline as :func:`record_trial_metrics`: integer counters
     only, incremented identically by workers (live skips) and by the
     parent's checkpoint replay (resumed skips), so totals stay
-    byte-identical across serial / parallel / shared-mem / resume.
+    byte-identical across serial / parallel / resume.
     """
     metrics.inc("early_stop/skipped")
     metrics.inc(
@@ -530,53 +538,70 @@ def _maybe_test_fault(trial: int) -> None:
         raise RuntimeError(f"injected test fault at trial {trial}")
 
 
-class _CampaignTask:
-    """Per-worker task: builds the network/goldens once, runs one trial
-    per call.  Constructed lazily inside each worker process.
+class GoldenState(NamedTuple):
+    """A campaign's fixed inputs: what every injected run is compared to.
 
-    When a :class:`~repro.core.sharedgolden.GoldenDescriptor` is given,
-    the golden activations, quantized weights and learned detector are
-    *attached* from the parent's shared-memory segment instead of being
-    recomputed — the expensive ``golden_infer`` / ``learn_detector``
-    phases run exactly once per campaign, in the parent.  Either way the
-    golden bits are identical (the parent computed them with this same
-    code), so trial outcomes are unaffected by the transport.
+    ``goldens`` holds the fault-free inference (scores and recorded
+    per-layer activations) of each evaluation input; ``detector`` is the
+    learned symptom detector, or None when the spec needs none.
     """
 
-    def __init__(self, spec: CampaignSpec, golden=None):
+    goldens: list[InferenceResult]
+    detector: SymptomDetector | None
+
+
+def build_golden_state(spec: CampaignSpec) -> GoldenState:
+    """Prepare the network, run golden inference and learn the detector.
+
+    :func:`run_campaign` calls this once per campaign, in the parent:
+    in-process tasks use the result directly and pool workers attach it
+    through a :class:`~repro.core.sharedgolden.GoldenDescriptor`.
+    """
+    network = get_network(spec.network, spec.scale)
+    dtype = get_dtype(spec.dtype)
+    storage_dtype = get_dtype(spec.storage_dtype) if spec.storage_dtype else None
+    network.prepare(dtype)
+    inputs = eval_inputs(spec.network, spec.n_inputs, spec.scale, seed=100)
+    with span("golden_infer"):
+        goldens = [
+            network.forward(x, dtype=dtype, record=True, storage_dtype=storage_dtype)
+            for x in inputs
+        ]
+    detector = None
+    if spec.with_detection and spec.detector_kind == "sed":
+        learn_x = eval_inputs(spec.network, spec.sed_learn_inputs, spec.scale, seed=200)
+        with span("learn_detector"):
+            detector = learn_detector(network, learn_x, dtype=dtype, cushion=spec.sed_cushion)
+    return GoldenState(goldens, detector)
+
+
+class _CampaignTask:
+    """Per-worker task: runs one trial per call against the golden state.
+
+    ``golden`` is either the :class:`GoldenState` itself (in-process) or
+    a :class:`~repro.core.sharedgolden.GoldenDescriptor` of the parent's
+    shared-memory segment (pool workers), whose read-only views are
+    attached here.  The task never computes goldens, so the golden bits
+    are the parent's whatever the transport.
+    """
+
+    def __init__(self, spec: CampaignSpec, golden: GoldenState | GoldenDescriptor):
         self.spec = spec
         self.last_site: str | None = None
         self.dtype = get_dtype(spec.dtype)
         self.storage_dtype = get_dtype(spec.storage_dtype) if spec.storage_dtype else None
         self.network = get_network(spec.network, spec.scale)
         self._shm_view = None
-        if golden is not None:
+        if isinstance(golden, GoldenState):
+            self.goldens = golden.goldens
+        else:
             from repro.core.sharedgolden import attach_golden_state
 
             with span("golden_attach"):
                 self._shm_view = attach_golden_state(golden)
             self.goldens = self._shm_view.goldens
             self._shm_view.install_weights(self.network)
-            self.detector: SymptomDetector | None = None
-            if spec.with_detection and spec.detector_kind == "sed":
-                self.detector = golden.detector
-        else:
-            self.network.prepare(self.dtype)
-            inputs = eval_inputs(spec.network, spec.n_inputs, spec.scale, seed=100)
-            with span("golden_infer"):
-                self.goldens = [
-                    self.network.forward(
-                        x, dtype=self.dtype, record=True, storage_dtype=self.storage_dtype
-                    )
-                    for x in inputs
-                ]
-            self.detector = None
-            if spec.with_detection and spec.detector_kind == "sed":
-                learn_x = eval_inputs(spec.network, spec.sed_learn_inputs, spec.scale, seed=200)
-                with span("learn_detector"):
-                    self.detector = learn_detector(
-                        self.network, learn_x, dtype=self.dtype, cushion=spec.sed_cushion
-                    )
+        self.detector: SymptomDetector | None = golden.detector
         #: Layer index -> block for detector checkpoints; the tracer
         #: derives the detector-firing layer from it (empty when no
         #: symptom detector is configured).
@@ -740,15 +765,14 @@ class _SafeTrialTask:
     parallel and resumed totals byte-identical.
     """
 
-    def __init__(self, spec: CampaignSpec, spans: bool = False, batch: int = 1,
-                 golden=None):
+    def __init__(self, spec: CampaignSpec, golden: GoldenState | GoldenDescriptor,
+                 spans: bool = False, batch: int = 1):
         if spans:
-            # Before _CampaignTask so golden_infer / learn_detector and
-            # the per-layer forward spans inside them are captured.
+            # Before _CampaignTask so the golden_attach span is captured.
             enable_spans()
         self.metrics = MetricsRegistry()
         #: Trials propagated per forward_from_batch call (see run_many).
-        self.group_size = max(1, int(batch))
+        self.group_size = batch
         self.task = _CampaignTask(spec, golden)
         #: Strata the early-stopping planner has closed.  Updated per
         #: round via :meth:`apply_control`; faults in a closed stratum
@@ -920,9 +944,9 @@ class _EarlyStopPlanner:
     so the stop decision for wave ``w`` looks at exactly the records in
     the index prefix ``[0, w * stop_check_every)`` — a pure function of
     the spec and the checkpoint contents, never of ``jobs``, ``batch``,
-    ``chunk``, arrival order or wall-clock.  Serial, parallel,
-    shared-memory and kill/resume executions therefore make identical
-    skip decisions trial-for-trial.
+    ``chunk``, arrival order or wall-clock.  Serial, parallel and
+    kill/resume executions therefore make identical skip decisions
+    trial-for-trial.
 
     A stratum *closes* once the Wilson 95% half-width of its
     ``stop_sdc_class`` rate drops to ``target_halfwidth``.  Closed
@@ -1000,18 +1024,13 @@ def run_campaign(
     *,
     batch: int = 1,
     chunk: int = 64,
-    shared_golden: bool | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
     checkpoint_every: int = 64,
     trial_timeout: float | None = None,
     max_retries: int = 2,
     max_error_frac: float = 0.0,
-    backoff_base: float = 0.5,
-    backoff_cap: float = 8.0,
-    timeout_grace: float = 5.0,
     events: EventRecorder | None = None,
-    metrics: MetricsRegistry | None = None,
     spans: bool = False,
     manifest: str | Path | None = None,
     run_log: str | Path | None = None,
@@ -1025,12 +1044,18 @@ def run_campaign(
     trial's outcome depends only on its index, a checkpointed campaign
     resumes bit-identically after a kill.
 
+    Golden state (:func:`build_golden_state`) is built once, here.  With
+    more than one worker it is published into a
+    ``multiprocessing.shared_memory`` segment that workers attach
+    read-only; the segment is only a transport, so results are the same
+    bits either way.
+
     Args:
         spec: Campaign configuration.
         jobs: Worker processes (1 = inline, None/0 = all cores).
-        batch: Trials propagated per ``forward_from_batch`` call (1 =
-            each trial alone, as soon as it is built).  Every value goes
-            through the same delta-propagating engine.  An execution
+        batch: Trials propagated per ``forward_from_batch`` call, >= 1
+            (1 = each trial alone, as soon as it is built).  Every value
+            goes through the same delta-propagating engine.  An execution
             knob, not part of the campaign identity: results,
             checkpoints and metric counters are bit-identical for every
             value (each trial's arithmetic is that of the per-trial
@@ -1039,19 +1064,12 @@ def run_campaign(
             checkpoint fingerprint — a campaign checkpointed at one
             batch size resumes correctly at another.
         chunk: Trials per inter-process message.
-        shared_golden: Publish the golden activations / quantized
-            weights / detector into a ``multiprocessing.shared_memory``
-            segment computed once by the parent; workers attach
-            read-only views instead of re-running golden inference.
-            ``None`` (the default) auto-enables it for multi-worker
-            runs.  Like ``batch``, a pure execution knob: the golden
-            bits are identical either way, so results, checkpoints and
-            metric counters are bit-identical with it on or off.
         checkpoint: JSONL checkpoint path: an append-only journal of
             resolved trials, compacted into canonical index order when
             the campaign completes or aborts.
-        resume: Skip trial indices already present in ``checkpoint``.
-            A checkpoint written under any other spec is refused
+        resume: Skip trial indices already present in ``checkpoint``
+            (``ValueError`` without one).  A checkpoint written under any
+            other spec is refused
             (:class:`~repro.core.checkpoint.CheckpointMismatchError`).
             Previously quarantined trials are *not* re-run; delete the
             checkpoint to retry them.
@@ -1063,16 +1081,10 @@ def run_campaign(
             than this fraction of ``spec.n_trials`` is quarantined.  The
             default 0.0 tolerates no errors — raising it is an explicit
             statement that partial campaigns are acceptable.
-        backoff_base / backoff_cap: Pool-rebuild backoff schedule.
-        timeout_grace: Flat per-chunk allowance for worker startup.
         events: :class:`~repro.core.tracing.EventRecorder` observing
             retry/rebuild/quarantine/resume events (a fresh one is used
             when None; note ``stats`` counts reflect every emission the
             recorder has seen).
-        metrics: :class:`~repro.obs.metrics.MetricsRegistry` that worker
-            delta snapshots merge into (a fresh one when None).  Resumed
-            checkpoint records are replayed into it, so a resumed run's
-            totals equal an uninterrupted run's.
         spans: Enable hierarchical timing spans — in this process and in
             every worker (``trial``, ``golden_infer``, per-layer forward,
             injection phases).  Off by default; the disabled path is a
@@ -1094,12 +1106,15 @@ def run_campaign(
             (``CampaignResult.traces``).  Rows are journaled in the
             checkpoint with their records; the file is published once,
             when the campaign completes or aborts, and is byte-identical
-            across serial / parallel / batched / shared-mem / resumed
-            executions because rows are pure functions of the trial
-            index.
+            across serial / parallel / batched / resumed executions
+            because rows are pure functions of the trial index.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    if resume and checkpoint is None:
+        raise ValueError("resume requires a checkpoint")
     recorder = events if events is not None else EventRecorder()
-    registry = metrics if metrics is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     if spans:
         enable_spans()
     writer = None
@@ -1142,14 +1157,9 @@ def run_campaign(
 
     remaining = [i for i in range(spec.n_trials) if i not in done]
     planner = _EarlyStopPlanner(spec, done, recorder) if spec.target_halfwidth is not None else None
-    # Shared golden state pays off exactly when more than one worker
-    # would otherwise duplicate golden inference; ``shared_golden``
-    # forces it either way (it is outcome-neutral, see the docstring).
-    use_shm = (
-        shared_golden
-        if shared_golden is not None
-        else effective_jobs(jobs) > 1 and len(remaining) > 1
-    )
+    # Workers exist exactly when more than one job is asked for, and
+    # they are the only readers of a shared segment.
+    use_shm = effective_jobs(jobs) > 1
 
     observer = None
     if manifest is not None or run_log is not None:
@@ -1281,33 +1291,30 @@ def run_campaign(
     try:
         try:
             if remaining:
+                golden: GoldenState | GoldenDescriptor = build_golden_state(spec)
                 if use_shm:
                     from repro.core.sharedgolden import publish_golden_state
 
-                    # The parent pays for golden inference / detector
-                    # learning exactly once; workers attach read-only.
                     with span("shm_publish"):
-                        proto = _CampaignTask(spec)
-                        descriptor, shm_handle = publish_golden_state(proto)
+                        descriptor, shm_handle = publish_golden_state(
+                            golden, get_network(spec.network, spec.scale)
+                        )
                     recorder.emit(
                         "shm_publish",
                         segment=descriptor.segment,
                         nbytes=descriptor.nbytes,
                     )
+                    golden = descriptor
                 # functools.partial (not a lambda) so the factory pickles
                 # into workers.
                 map_trials(
-                    partial(_SafeTrialTask, spec, spans, batch, descriptor),
-                    n_trials=0,
+                    partial(_SafeTrialTask, spec, golden, spans, batch),
                     jobs=jobs,
                     chunk=chunk,
                     indices=remaining,
                     plan=planner,
                     timeout=trial_timeout,
-                    timeout_grace=timeout_grace,
                     max_retries=max_retries,
-                    backoff_base=backoff_base,
-                    backoff_cap=backoff_cap,
                     on_event=recorder.emit,
                     on_result=absorb,
                     on_obs=registry.merge_snapshot,
@@ -1374,7 +1381,7 @@ def run_campaign(
         if planner is not None:
             # Deterministic: skip decisions are a pure function of the
             # spec and trial indices, so these agree across serial /
-            # parallel / shared-mem / resumed executions.
+            # parallel / resumed executions.
             summary["early_stop"] = {
                 "n_skips": len(skips),
                 "stopped_at": result.stopped_at,

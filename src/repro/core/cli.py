@@ -74,11 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--batch", type=int, default=1,
                         help="trials propagated per batched forward pass "
-                             "(1 = one trial per pass; results are bit-identical)")
-    parser.add_argument("--shm", choices=("auto", "on", "off"), default="auto",
-                        help="shared-memory golden state: parent computes golden "
-                             "activations/weights once, workers attach read-only "
-                             "(auto = on for multi-worker runs; bit-identical)")
+                             "(>= 1; 1 = one trial per pass; results are bit-identical)")
     parser.add_argument("--out", default=None, help="write the JSON summary here")
     stopping = parser.add_argument_group("early stopping (docs/architecture.md)")
     stopping.add_argument("--target-halfwidth", type=float, default=None, metavar="W",
@@ -138,6 +134,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"invalid campaign: {exc}", file=sys.stderr)
         return 2
+    if args.batch < 1:
+        print(f"invalid campaign: batch must be >= 1, got {args.batch}", file=sys.stderr)
+        return 2
+    if args.resume and args.checkpoint is None:
+        print("--resume requires --checkpoint", file=sys.stderr)
+        return 2
 
     recorder = EventRecorder(
         sink=(lambda event: print(event, file=sys.stderr)) if args.events else None
@@ -151,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
             spec,
             jobs=args.jobs,
             batch=args.batch,
-            shared_golden={"auto": None, "on": True, "off": False}[args.shm],
             checkpoint=args.checkpoint,
             resume=args.resume,
             checkpoint_every=args.checkpoint_every,

@@ -2,14 +2,13 @@
 
 Every campaign worker needs the same immutable inputs: the golden
 (fault-free) activations of each evaluation input, and the quantized
-weight tensors of the network.  Before this module, every worker process
-re-ran golden inference (and the SED learning phase) during pool
-startup — pure duplicated work, since trial outcomes are a function of
-the golden *bits*, not of who computed them.
+weight tensors of the network.  Trial outcomes are a function of the
+golden *bits*, not of who computed them, so the campaign parent builds
+the golden state once (``repro.core.campaign.build_golden_state``).
 
-The parent now computes the golden state once, packs every array
-back-to-back into a single ``multiprocessing.shared_memory`` segment and
-ships workers a tiny picklable :class:`GoldenDescriptor` (segment name +
+For a multi-worker campaign the parent packs every array back-to-back
+into a single ``multiprocessing.shared_memory`` segment and ships
+workers a tiny picklable :class:`GoldenDescriptor` (segment name +
 per-array offset/shape/dtype + the learned detector, whose bounds are a
 few floats).  Workers attach the segment and reconstruct **read-only**
 numpy views — no golden inference, no detector learning, no array
@@ -207,13 +206,14 @@ def _view(shm: shared_memory.SharedMemory, spec: SharedArray, *, writeable: bool
     return arr
 
 
-def publish_golden_state(task) -> tuple[GoldenDescriptor, shared_memory.SharedMemory]:
-    """Pack a built campaign task's golden state into a shared segment.
+def publish_golden_state(state, network) -> tuple[GoldenDescriptor, shared_memory.SharedMemory]:
+    """Pack a campaign's golden state into a shared segment.
 
     Args:
-        task: A fully initialised ``_CampaignTask`` — its ``goldens``,
-            ``network`` (with warmed quantized-weight caches) and
-            ``detector`` are the published state.
+        state: The :class:`~repro.core.campaign.GoldenState` — its
+            ``goldens`` and ``detector`` are published.
+        network: The network the state was built on; its warmed
+            quantized-weight caches are published too.
 
     Returns:
         ``(descriptor, segment)``.  The caller owns the segment and must
@@ -226,15 +226,15 @@ def publish_golden_state(task) -> tuple[GoldenDescriptor, shared_memory.SharedMe
         return len(arrays) - 1
 
     golden_slots: list[tuple[int, tuple[int, ...]]] = []
-    for golden in task.goldens:
+    for golden in state.goldens:
         scores_slot = add(golden.scores)
         act_slots = tuple(add(a) for a in golden.activations)
         golden_slots.append((scores_slot, act_slots))
 
     weight_slots: list[tuple[int, str, int, int]] = []
-    for li in task.network.mac_layer_indices():
+    for li in network.mac_layer_indices():
         for dtype_name, (w, b) in sorted(
-            task.network.layers[li].cached_quantized_weights().items()
+            network.layers[li].cached_quantized_weights().items()
         ):
             weight_slots.append((li, dtype_name, add(w), add(b)))
 
@@ -254,7 +254,7 @@ def publish_golden_state(task) -> tuple[GoldenDescriptor, shared_memory.SharedMe
             (li, dtype_name, placements[ws], placements[bs])
             for li, dtype_name, ws, bs in weight_slots
         ),
-        detector=task.detector,
+        detector=state.detector,
         tracker_pid=_tracker_pid(),
     )
     return descriptor, shm
@@ -268,8 +268,9 @@ class SharedGoldenView:
     onto the underlying mmap, whose ``close()`` unmaps regardless of
     array references), so the arrays are valid exactly as long as this
     object stays un-closed.  Workers never need to call :meth:`close` —
-    process exit releases the mapping — but an in-process (inline)
-    campaign must purge every installed view before closing; see
+    process exit releases the mapping — but an attach in the parent (a
+    one-trial map, or a pool that degraded to inline execution) must
+    purge every installed view before closing; see
     ``_CampaignTask.close``.
     """
 

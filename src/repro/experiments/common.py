@@ -51,10 +51,6 @@ class ExperimentConfig:
         progress: Seconds between live progress lines on stderr
             (0 disables).
         spans: Collect hierarchical timing spans in every campaign.
-        shared_golden: Tri-state shared-memory golden state: None lets
-            :func:`~repro.core.campaign.run_campaign` auto-enable it for
-            multi-worker runs; True/False force it on/off.  Bit-identical
-            either way (docs/architecture.md, "Shared golden state").
         target_halfwidth: When set, overrides every campaign spec's
             Wilson-CI early-stopping target (docs/architecture.md,
             "Early stopping").  Spec-identity caveat: this *changes* the
@@ -79,7 +75,6 @@ class ExperimentConfig:
     obs_dir: str | None = None
     progress: float = 0.0
     spans: bool = False
-    shared_golden: bool | None = None
     target_halfwidth: float | None = None
     stop_stratify: str = "overall"
     stop_check_every: int = 64
@@ -127,7 +122,6 @@ def campaign(spec: CampaignSpec, jobs: int = 1, cfg: ExperimentConfig | None = N
                 max_error_frac=cfg.max_error_frac,
                 spans=cfg.spans,
                 progress_every=cfg.progress,
-                shared_golden=cfg.shared_golden,
             )
             if cfg.checkpoint_dir is not None or cfg.obs_dir is not None:
                 from repro.core.checkpoint import campaign_fingerprint

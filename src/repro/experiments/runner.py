@@ -140,11 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (0 = all cores)")
     parser.add_argument("--batch", type=int, default=1,
                         help="trials propagated per batched forward pass "
-                             "(1 = one trial per pass; results are bit-identical)")
-    parser.add_argument("--shm", choices=("auto", "on", "off"), default="auto",
-                        help="shared-memory golden state: compute goldens once in "
-                             "the parent, workers attach read-only (auto = on for "
-                             "multi-worker campaigns; bit-identical)")
+                             "(>= 1; 1 = one trial per pass; results are bit-identical)")
     parser.add_argument("--out", default=None, help="directory for JSON/text artifacts")
     stopping = parser.add_argument_group("early stopping (docs/architecture.md)")
     stopping.add_argument("--target-halfwidth", type=float, default=None, metavar="W",
@@ -188,6 +184,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume and args.checkpoint_dir is None:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
+    if args.batch < 1:
+        print(f"--batch must be >= 1, got {args.batch}", file=sys.stderr)
+        return 2
 
     cfg = ExperimentConfig(
         trials=args.trials, scale=args.scale, seed=args.seed, jobs=args.jobs,
@@ -196,7 +195,6 @@ def main(argv: list[str] | None = None) -> int:
         max_error_frac=args.max_error_frac, checkpoint_dir=args.checkpoint_dir,
         resume=args.resume, obs_dir=args.obs_dir, progress=args.progress,
         spans=args.spans,
-        shared_golden={"auto": None, "on": True, "off": False}[args.shm],
         target_halfwidth=args.target_halfwidth,
         stop_stratify=args.stop_stratify,
         stop_check_every=args.stop_check_every,

@@ -21,11 +21,11 @@ Recipe types
   ``benchmarks/BENCH_<date>.json`` snapshot, optionally (re)generating
   the gauges by running a benchmark file when they are absent.
 - ``campaign_parity`` — run one campaign under several execution
-  variants (``jobsN``, ``batchN``, ``shmN``, ``resume``) and require
-  every summary to be byte-identical to the serial baseline; the
-  ``resume`` variant also diffs the two run manifests through
-  :func:`repro.obs.cli.compare_runs`, and ``shmN`` forces the
-  shared-memory golden path on.  Optional ``target_halfwidth`` /
+  variants (``jobsN``, ``batchN``, ``resume``) and require every
+  summary to be byte-identical to the serial baseline; ``jobsN`` with
+  N > 1 runs on the shared-memory golden segment, and the ``resume``
+  variant also diffs the two run manifests through
+  :func:`repro.obs.cli.compare_runs`.  Optional ``target_halfwidth`` /
   ``stop_stratify`` / ``stop_check_every`` params put the early-stopping
   rule on the spec so its skip decisions are part of the parity.
   Optional ``trace_mode`` / ``trace_every`` params turn on the
@@ -268,13 +268,7 @@ def _recipe_campaign_parity(params: dict, root: Path, timeout: float) -> dict:
         base_summary = _comparable_summary(baseline)
         per_variant: dict[str, dict] = {}
         for variant in variants:
-            if variant.startswith("shm"):
-                # Shared-memory golden state, forced on even for jobs=1 so
-                # the parity holds on single-core CI runners too.
-                result = run_campaign(spec, jobs=int(variant[3:] or 2),
-                                      shared_golden=True, **_trace_kwargs(variant))
-                diverged = _summary_divergences(base_summary, _comparable_summary(result))
-            elif variant.startswith("jobs"):
+            if variant.startswith("jobs"):
                 result = run_campaign(spec, jobs=int(variant[4:] or 2),
                                       **_trace_kwargs(variant))
                 diverged = _summary_divergences(base_summary, _comparable_summary(result))

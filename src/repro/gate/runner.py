@@ -166,7 +166,6 @@ def check_obligations(
         if pooled:
             for index, value in zip(pooled, map_trials(
                 factory,
-                0,
                 jobs=jobs,
                 chunk=1,
                 indices=pooled,

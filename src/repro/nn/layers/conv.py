@@ -6,8 +6,8 @@ picks different accumulation orders for different matrix extents, so a
 fixed partition is what makes results invariant to how much of the
 output is computed at once: a single sample, a stack of B corrupted
 samples (``Network.forward_from_batch``), or a partial recomputation of
-only the rows a fault can reach (``forward_rows``) all issue GEMM calls
-of identical shapes over identical data and therefore produce
+only the rows a fault can reach (``forward_rows_batch``) all issue GEMM
+calls of identical shapes over identical data and therefore produce
 bit-identical values.
 """
 
@@ -152,23 +152,6 @@ class Conv2D(MacLayer):
             y += bias[:, None]
         return y.reshape(n, self.out_channels, r1 - r0, ow)
 
-    def forward_rows(
-        self, x: np.ndarray, dtype: DataType | None, r0: int, r1: int
-    ) -> tuple[np.ndarray, int, int]:
-        """Recompute output rows covering ``[r0, r1)`` bit-identically.
-
-        The request is expanded to the canonical tile partition; returns
-        ``(y, a0, a1)`` where ``y`` holds rows ``[a0, a1)`` and equals
-        the same slice of :meth:`forward` on the same input.
-        """
-        _, oh, ow = self.out_shape(x.shape[1:])
-        rpt = self._rows_per_tile(ow)
-        a0 = (r0 // rpt) * rpt
-        a1 = min(oh, -(-r1 // rpt) * rpt)
-        w, b = self.quantized_weights(dtype)
-        y = self._gemm_rows(x, w, b, a0, a1)
-        return (dtype.quantize(y) if dtype is not None else y), a0, a1
-
     def forward_rows_batch(
         self,
         x: np.ndarray,
@@ -177,21 +160,23 @@ class Conv2D(MacLayer):
     ) -> list[tuple[np.ndarray, int, int]]:
         """Per-sample row-span recomputation, batched tile by tile.
 
-        For each sample ``b`` of ``x`` this computes exactly what
-        ``forward_rows(x[b:b+1], dtype, *spans[b])`` would — the same
-        aligned span, the same bits — but the work is grouped by canonical
-        tile: every tile GEMM runs at its fixed ``(K, tile_cols)`` shape
-        over a stack holding only the samples whose span covers that
-        tile.  FLOPs stay proportional to each sample's own span while
-        the padding / index-gather / dispatch overhead is paid per tile
-        instead of per sample.
+        For each sample ``b`` of ``x`` the requested span ``spans[b]`` is
+        expanded to the canonical tile partition, and the returned rows
+        equal the same slice of :meth:`forward` on ``x[b:b+1]``, bit for
+        bit.  The work is grouped by canonical tile: every tile GEMM
+        runs at its fixed ``(K, tile_cols)`` shape over a stack holding
+        only the samples whose span covers that tile.  FLOPs stay
+        proportional to each sample's own span while the padding /
+        index-gather / dispatch overhead is paid per tile instead of per
+        sample.
 
         Args:
             x: Stacked inputs ``(B, c, h, w)``.
             spans: Per-sample requested output row spans (non-empty).
 
         Returns:
-            One ``(y, a0, a1)`` per sample, as :meth:`forward_rows`.
+            One ``(y, a0, a1)`` per sample: ``y`` holds the aligned output
+            rows ``[a0, a1)``.
         """
         n, c, h, w = x.shape
         _, oh, ow = self.out_shape((c, h, w))

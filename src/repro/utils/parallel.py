@@ -2,9 +2,9 @@
 
 A campaign is thousands of independent single-fault inference runs — an
 embarrassingly parallel workload.  ``map_trials`` shards trial indices
-across a process pool; each worker rebuilds its (picklable) task object
-once and reuses cached golden activations across its shard, following the
-fork-once/reuse-state idiom from the HPC guides.
+across a process pool; each worker builds its (picklable) task object
+once and reuses it across its shard, following the fork-once/reuse-state
+idiom from the HPC guides.
 
 At the paper's scale (~3M injections, Section 4) the pool itself must
 survive faults, so the fan-out is *supervised*:
@@ -43,6 +43,15 @@ _WORKER_TASK = None
 
 #: Shortest supervision poll when a deadline is imminent (seconds).
 _MIN_TICK = 0.02
+
+#: Pool-rebuild backoff: the first delay (seconds), doubling per
+#: consecutive rebuild up to the cap.
+_BACKOFF_BASE = 0.5
+_BACKOFF_CAP = 8.0
+
+#: Consecutive pool rebuilds without any completed chunk before the map
+#: degrades to inline execution.
+_MAX_REBUILDS = 3
 
 
 def effective_jobs(jobs: int | None) -> int:
@@ -207,19 +216,14 @@ class _Supervisor:
     def __init__(
         self,
         task_factory: Callable[[], Callable[[int], object]],
-        indices: Sequence[int],
         n_jobs: int,
         chunk: int,
         timeout: float | None,
         timeout_grace: float,
         max_retries: int,
-        max_rebuilds: int,
-        backoff_base: float,
-        backoff_cap: float,
         on_event: Callable[[str, dict], None] | None,
         on_result: Callable[[int, object], None] | None,
-        on_obs: Callable[[object], None] | None = None,
-        plan: Callable[[], tuple[Sequence[int], object] | None] | None = None,
+        on_obs: Callable[[object], None] | None,
     ):
         self.task_factory = task_factory
         self.n_jobs = n_jobs
@@ -227,13 +231,9 @@ class _Supervisor:
         self.timeout = timeout
         self.timeout_grace = timeout_grace
         self.max_retries = max_retries
-        self.max_rebuilds = max_rebuilds
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.on_event = on_event
         self.on_result = on_result
         self.on_obs = on_obs
-        self.plan = plan
 
         self.results: dict[int, object] = {}
         self.pending: deque[_Chunk] = deque()
@@ -245,11 +245,8 @@ class _Supervisor:
         self.ever_succeeded = False
         self.degraded = False
         self.inline_task: object | None = None
-        if plan is None:
-            self._enqueue(indices, None)
 
-    def _enqueue(self, indices: Sequence[int], ctl: object) -> None:
-        indices = list(indices)
+    def _enqueue(self, indices: list[int], ctl: object) -> None:
         self.pending.extend(
             _Chunk(indices[s : s + self.chunk], ctl=ctl)
             for s in range(0, len(indices), self.chunk)
@@ -297,10 +294,7 @@ class _Supervisor:
     # -- pool lifecycle ---------------------------------------------------- #
     def _build_pool(self) -> None:
         if self.consecutive_rebuilds:
-            delay = min(
-                self.backoff_cap,
-                self.backoff_base * (2 ** (self.consecutive_rebuilds - 1)),
-            )
+            delay = min(_BACKOFF_CAP, _BACKOFF_BASE * 2 ** (self.consecutive_rebuilds - 1))
             _emit(self.on_event, "rebuild",
                   consecutive=self.consecutive_rebuilds, backoff=delay)
             # A real wall-clock pause between pool rebuilds: backoff must
@@ -386,28 +380,27 @@ class _Supervisor:
                     self.pending.append(_Chunk([i], attempts=attempts, ctl=ctl))
 
     # -- main loop ---------------------------------------------------------- #
-    def run(self) -> dict[int, object]:
+    def run(self, rounds: Iterator[tuple[Sequence[int], object]]) -> list:
+        """Resolve every round; results in the order the rounds released them.
+
+        Each round is released only after the previous one fully
+        resolved: the barrier that makes a planner's decisions a pure
+        function of the trial prefix, independent of jobs/chunk/arrival
+        order.
+        """
+        order: list[int] = []
         try:
-            if self.plan is None:
+            for round_indices, ctl in rounds:
+                round_indices = list(round_indices)
+                order.extend(round_indices)
+                self._enqueue(round_indices, ctl)
                 self._run_round()
-            else:
-                # Planner mode: each round is released only after the
-                # previous one fully resolved — the barrier that makes
-                # the planner's decisions a pure function of the trial
-                # prefix, independent of jobs/chunk/arrival order.
-                while True:
-                    nxt = self.plan()
-                    if nxt is None:
-                        break
-                    round_indices, ctl = nxt
-                    self._enqueue(round_indices, ctl)
-                    self._run_round()
         finally:
             self._teardown_pool(kill=False)
             if self.inline_task is not None:
                 _close_task(self.inline_task)
                 self.inline_task = None
-        return self.results
+        return [self.results[i] for i in order]
 
     def _run_round(self) -> None:
         if self.degraded:
@@ -421,7 +414,7 @@ class _Supervisor:
                 # and bisection/solo-probation will isolate them;
                 # running a crashing trial inline would kill the
                 # parent process.
-                if self.consecutive_rebuilds > self.max_rebuilds and not self.ever_succeeded:
+                if self.consecutive_rebuilds > _MAX_REBUILDS and not self.ever_succeeded:
                     self._degrade_inline()
                     break
                 self._build_pool()
@@ -527,38 +520,47 @@ class _Supervisor:
         return False
 
 
-def _run_inline(task, indices: Sequence[int], chunk: int,
-                on_result: Callable[[int, object], None] | None) -> list:
-    """Run ``indices`` through a task in this process (no supervision).
+def _run_inline(task_factory: Callable[[], object],
+                rounds: Iterator[tuple[Sequence[int], object]], chunk: int,
+                on_result: Callable[[int, object], None] | None,
+                on_obs: Callable[[object], None] | None) -> list:
+    """Run every round through one task in this process (no supervision).
 
     Chunk-sized slices bound how many prepared-but-unpropagated
     corruptions a grouping task holds at once and keep ``on_result``
     streaming.  A raising trial propagates.
     """
+    task = task_factory()
     results: list = []
-    for s in range(0, len(indices), chunk):
-        with span("chunk"):
-            for _, i, value in _run_slice(task, indices[s : s + chunk], capture=False):
-                if on_result is not None:
-                    on_result(i, value)
-                results.append(value)
+    try:
+        for round_indices, ctl in rounds:
+            _apply_ctl(task, ctl)
+            round_indices = list(round_indices)
+            for s in range(0, len(round_indices), chunk):
+                with span("chunk"):
+                    for _, i, value in _run_slice(task, round_indices[s : s + chunk],
+                                                  capture=False):
+                        if on_result is not None:
+                            on_result(i, value)
+                        results.append(value)
+        collect = getattr(task, "collect_obs", None)
+        if callable(collect) and on_obs is not None:
+            on_obs(collect())
+    finally:
+        _close_task(task)
     return results
 
 
 def map_trials(
     task_factory: Callable[[], Callable[[int], object]],
-    n_trials: int,
     jobs: int | None = 1,
     chunk: int = 64,
     *,
-    indices: Sequence[int] | None = None,
+    indices: Sequence[int] = (),
     plan: Callable[[], tuple[Sequence[int], object] | None] | None = None,
     timeout: float | None = None,
     timeout_grace: float = 5.0,
     max_retries: int = 2,
-    max_rebuilds: int = 3,
-    backoff_base: float = 0.5,
-    backoff_cap: float = 8.0,
     on_event: Callable[[str, dict], None] | None = None,
     on_result: Callable[[int, object], None] | None = None,
     on_obs: Callable[[object], None] | None = None,
@@ -568,14 +570,13 @@ def map_trials(
     Args:
         task_factory: Zero-arg callable returning the per-trial callable.
             Invoked once per worker (and once inline when ``jobs == 1``),
-            so expensive setup (network construction, golden run) is paid
-            per worker rather than per trial.
-        n_trials: Number of trials (ignored when ``indices`` is given).
+            so per-process setup (network lookup, attaching shared
+            state) is paid per worker rather than per trial.
         jobs: Worker processes; 1 runs inline (default, deterministic and
             debuggable), None/0 uses every core, negative raises.
         chunk: Trials per inter-process message (must be >= 1).
-        indices: Explicit trial indices to run instead of
-            ``range(n_trials)`` (checkpoint resume runs the gap set).
+        indices: Trial indices to run (checkpoint resume runs the gap
+            set).  Without a ``plan`` they are the map's single round.
         plan: Round scheduler (statistical early stopping builds on
             this).  Called with no arguments; returns ``(indices, ctl)``
             for the next round, or None when the map is finished.  Each
@@ -584,21 +585,15 @@ def map_trials(
             picklable message) is installed on the executing task via
             ``task.apply_control(ctl)`` before any of the round's trials
             run, including on retries, bisection halves and degraded
-            inline execution.  When given, ``n_trials``/``indices`` are
-            ignored.
+            inline execution.  When given, ``indices`` is ignored.
         timeout: Per-trial time budget in seconds; a chunk's deadline is
             ``timeout * len(chunk) + timeout_grace``.  None disables
             deadlines.  Ignored inline (a wedged trial cannot be killed
             from within its own process).
-        timeout_grace: Flat per-chunk allowance covering worker startup
-            (network build + golden inference happen on first use).
+        timeout_grace: Flat per-chunk allowance covering a worker's
+            first-use setup (building its task on pool start).
         max_retries: Extra attempts per chunk (crash/timeout) or per
             raising trial before bisection/quarantine.
-        max_rebuilds: Consecutive pool rebuilds without any completed
-            chunk before degrading to inline execution.
-        backoff_base: First rebuild backoff delay (seconds); doubles per
-            consecutive rebuild up to ``backoff_cap``.
-        backoff_cap: Backoff ceiling (seconds).
         on_event: Observer callback ``(kind, detail)`` for supervision
             events: ``retry``, ``rebuild``, ``timeout``, ``bisect``,
             ``quarantine``, ``degrade``.
@@ -612,67 +607,30 @@ def map_trials(
             Inline execution delivers one final payload.
 
     Returns:
-        Per-trial results in trial-index order.  A trial the supervisor
-        could not complete yields a :class:`TrialFailure` in its slot;
-        callers that want raw failures to propagate should check for it.
+        Per-trial results in the order the rounds released their
+        indices.  A trial the supervisor could not complete yields a
+        :class:`TrialFailure` in its slot; callers that want raw failures
+        to propagate should check for it.
     """
     n_jobs = effective_jobs(jobs)
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if indices is None:
-        indices = range(n_trials)
     indices = list(indices)
-
-    if plan is not None and n_jobs == 1:
-        task = task_factory()
-        try:
-            results = []
-            while True:
-                nxt = plan()
-                if nxt is None:
-                    break
-                round_indices, ctl = nxt
-                _apply_ctl(task, ctl)
-                results.extend(_run_inline(task, list(round_indices), chunk, on_result))
-            collect = getattr(task, "collect_obs", None)
-            if callable(collect) and on_obs is not None:
-                on_obs(collect())
-        finally:
-            _close_task(task)
-        return results
-
-    if plan is None and (n_jobs == 1 or len(indices) <= 1):
-        task = task_factory()
-        try:
-            results = _run_inline(task, indices, chunk, on_result)
-            collect = getattr(task, "collect_obs", None)
-            if callable(collect) and on_obs is not None:
-                on_obs(collect())
-        finally:
-            _close_task(task)
-        return results
-
+    rounds = iter([(indices, None)]) if plan is None else iter(plan, None)
+    if n_jobs == 1 or (plan is None and len(indices) <= 1):
+        return _run_inline(task_factory, rounds, chunk, on_result, on_obs)
+    if plan is None:
+        # One round of known size: never start more workers than chunks.
+        n_jobs = min(n_jobs, -(-len(indices) // chunk))
     supervisor = _Supervisor(
         task_factory=task_factory,
-        indices=indices,
-        n_jobs=(
-            n_jobs
-            if plan is not None
-            else min(n_jobs, max(1, (len(indices) + chunk - 1) // chunk))
-        ),
+        n_jobs=n_jobs,
         chunk=chunk,
         timeout=timeout,
         timeout_grace=timeout_grace,
         max_retries=max_retries,
-        max_rebuilds=max_rebuilds,
-        backoff_base=backoff_base,
-        backoff_cap=backoff_cap,
         on_event=on_event,
         on_result=on_result,
         on_obs=on_obs,
-        plan=plan,
     )
-    resolved = supervisor.run()
-    if plan is not None:
-        return [resolved[i] for i in sorted(resolved)]
-    return [resolved[i] for i in indices]
+    return supervisor.run(rounds)

@@ -26,6 +26,7 @@ from repro.core.campaign import (
     CampaignSpec,
     TrialRecord,
     _CampaignTask,
+    build_golden_state,
     record_trial_metrics,
 )
 from repro.core.fault import BufferFault
@@ -67,7 +68,7 @@ def reference_campaign(
     would produce; ``traces`` maps trial index -> trace row for the
     traced subset.  No early stopping: every trial propagates.
     """
-    task = task if task is not None else _CampaignTask(spec)
+    task = task if task is not None else _CampaignTask(spec, build_golden_state(spec))
     metrics = MetricsRegistry()
     records: list[TrialRecord] = []
     traces: dict[int, dict] = {}

@@ -234,6 +234,11 @@ class TestCampaignBatchParity:
             assert any(r.detected for r in records)
             assert any(r.reached_output for r in records)
 
+    def test_batch_below_one_is_refused(self):
+        # Coercing it would run batch 1 while the manifest records 0.
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            run_campaign(self.SPECS[0], batch=0)
+
 
 class TestGroupFailureFallback:
     """A group whose propagation raises is re-run one trial at a time, so

@@ -48,6 +48,14 @@ class TestCampaignCli:
         assert main(["--network", "ConvNet", "--trials", "5", "--burst", "0"]) == 2
         assert "invalid campaign" in capsys.readouterr().err
 
+    def test_resume_without_checkpoint_rejected(self, capsys):
+        assert main(["--network", "ConvNet", "--trials", "5", "--resume"]) == 2
+        assert "--resume requires --checkpoint" in capsys.readouterr().err
+
+    def test_batch_below_one_rejected(self, capsys):
+        assert main(["--network", "ConvNet", "--trials", "5", "--batch", "0"]) == 2
+        assert "batch must be >= 1" in capsys.readouterr().err
+
     def test_unknown_network_rejected(self):
         with pytest.raises(SystemExit):
             main(["--network", "ResNet"])

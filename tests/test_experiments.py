@@ -162,5 +162,9 @@ class TestRunner:
         assert main(["table3", "--trials", "10"]) == 0
         assert "DOUBLE" in capsys.readouterr().out
 
+    def test_cli_batch_below_one_rejected(self, capsys):
+        assert main(["fig3", "--trials", "10", "--batch", "0"]) == 2
+        assert "--batch must be >= 1" in capsys.readouterr().err
+
     def test_cli_unknown(self, capsys):
         assert main(["nope"]) == 2

@@ -35,6 +35,7 @@ from repro.core.checkpoint import (
 from repro.core.serialize import campaign_summary, to_jsonable
 from repro.core.tracing import EventRecorder
 from repro.obs.tracer import default_trace_path
+from repro.utils import parallel
 from repro.utils.parallel import TrialFailure, map_trials
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -43,9 +44,12 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: can distinguish "running in a pool worker" from "running inline".
 MAIN_PID = os.getpid()
 
-#: Fast supervision knobs shared by the pool tests (real backoff would
-#: dominate test wall-time).
-FAST = dict(backoff_base=0.01, backoff_cap=0.02)
+
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    """Real pool-rebuild backoff would dominate test wall-time."""
+    monkeypatch.setattr(parallel, "_BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(parallel, "_BACKOFF_CAP", 0.02)
 
 
 def _square_task():
@@ -92,8 +96,8 @@ class TestSupervisedPool:
     def test_crashing_worker_quarantines_exactly_the_poison_trial(self):
         kinds = []
         results = map_trials(
-            _crash7_task, 12, jobs=2, chunk=4, max_retries=1,
-            on_event=lambda kind, detail: kinds.append(kind), **FAST,
+            _crash7_task, jobs=2, chunk=4, indices=range(12), max_retries=1,
+            on_event=lambda kind, detail: kinds.append(kind),
         )
         failure = results[7]
         assert isinstance(failure, TrialFailure)
@@ -107,9 +111,9 @@ class TestSupervisedPool:
     def test_hanging_trial_hits_deadline_and_is_quarantined(self):
         kinds = []
         results = map_trials(
-            _hang5_task, 8, jobs=2, chunk=4, max_retries=0,
+            _hang5_task, jobs=2, chunk=4, indices=range(8), max_retries=0,
             timeout=0.2, timeout_grace=1.0,
-            on_event=lambda kind, detail: kinds.append(kind), **FAST,
+            on_event=lambda kind, detail: kinds.append(kind),
         )
         failure = results[5]
         assert isinstance(failure, TrialFailure)
@@ -120,7 +124,7 @@ class TestSupervisedPool:
         assert "timeout" in kinds
 
     def test_raising_trial_does_not_poison_chunk_mates(self):
-        results = map_trials(_raise3_task, 10, jobs=2, chunk=5, max_retries=1, **FAST)
+        results = map_trials(_raise3_task, jobs=2, chunk=5, indices=range(10), max_retries=1)
         failure = results[3]
         assert isinstance(failure, TrialFailure)
         assert failure.reason == "error" and failure.exc_type == "ValueError"
@@ -130,22 +134,24 @@ class TestSupervisedPool:
             i for i in range(10) if i != 3
         ]
 
-    def test_degrades_to_inline_when_pool_never_completes_a_chunk(self):
+    def test_degrades_to_inline_when_pool_never_completes_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_MAX_REBUILDS", 1)
         kinds = []
         results = map_trials(
-            _worker_crash_task, 6, jobs=2, chunk=2, max_retries=0, max_rebuilds=1,
-            on_event=lambda kind, detail: kinds.append(kind), **FAST,
+            _worker_crash_task, jobs=2, chunk=2, indices=range(6), max_retries=0,
+            on_event=lambda kind, detail: kinds.append(kind),
         )
         # Inline fallback runs in the parent, where the task succeeds.
         assert results == [i + 100 for i in range(6)]
         assert "degrade" in kinds
 
     def test_explicit_indices_run_the_gap_set(self):
-        assert map_trials(_square_task, 0, jobs=1, indices=[3, 9, 4]) == [9, 81, 16]
+        assert map_trials(_square_task, jobs=1, indices=[3, 9, 4]) == [9, 81, 16]
 
     def test_on_result_streams_inline_results(self):
         seen = []
-        map_trials(_square_task, 4, jobs=1, on_result=lambda i, v: seen.append((i, v)))
+        map_trials(_square_task, jobs=1, indices=range(4),
+                   on_result=lambda i, v: seen.append((i, v)))
         assert seen == [(0, 0), (1, 1), (2, 4), (3, 9)]
 
 
@@ -162,7 +168,6 @@ class TestCampaignResilience:
         monkeypatch.setenv("REPRO_CAMPAIGN_FAULT", "crash:7")
         result = run_campaign(
             SPEC, jobs=2, chunk=4, max_retries=1, max_error_frac=0.2,
-            backoff_base=0.02, backoff_cap=0.05,
         )
         assert len(result.records) == 11
         assert [(e.index, e.reason) for e in result.errors] == [(7, "crash")]
@@ -173,8 +178,7 @@ class TestCampaignResilience:
         monkeypatch.setenv("REPRO_CAMPAIGN_FAULT", "hang:3:600")
         result = run_campaign(
             SPEC, jobs=2, chunk=4, max_retries=0, max_error_frac=0.2,
-            trial_timeout=0.5, timeout_grace=3.0,
-            backoff_base=0.02, backoff_cap=0.05,
+            trial_timeout=0.5,
         )
         assert len(result.records) == 11
         assert [(e.index, e.reason) for e in result.errors] == [(3, "timeout")]
@@ -270,6 +274,11 @@ class TestCheckpointResume:
         assert campaign_fingerprint(other) != campaign_fingerprint(SPEC)
         with pytest.raises(CheckpointMismatchError):
             run_campaign(other, checkpoint=path, resume=True)
+
+    def test_resume_without_checkpoint_is_refused(self):
+        # Silently re-running every trial would hide a mistyped command.
+        with pytest.raises(ValueError, match="resume requires a checkpoint"):
+            run_campaign(SPEC, resume=True)
 
     def test_missing_checkpoint_resumes_from_scratch(self, tmp_path):
         result = run_campaign(SPEC, checkpoint=tmp_path / "fresh.jsonl", resume=True)

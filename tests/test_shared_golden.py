@@ -4,11 +4,11 @@ Two campaign-identity extensions ride the same contract: trial outcomes
 (and skip decisions) are a pure function of ``(spec, trial index)``.
 These tests pin the byte-identity of campaign summaries across the
 shared-golden execution paths (worker pools attaching read-only views,
-inline attach, batched propagation, kill/resume), the immutability of
-the published golden buffers, the segment lifecycle (creators never
-attach, releases are idempotent, nothing leaks into ``/dev/shm``), and
-the determinism of the early-stopping rule at fixed trial-index
-boundaries.
+an in-process attach, batched propagation, kill/resume), the
+immutability of the published golden buffers, the segment lifecycle
+(creators never attach, releases are idempotent, nothing leaks into
+``/dev/shm``), and the determinism of the early-stopping rule at fixed
+trial-index boundaries.
 """
 
 from __future__ import annotations
@@ -19,8 +19,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.campaign import CampaignSpec, _CampaignTask, run_campaign
-from repro.core.serialize import campaign_summary
+from repro.core.campaign import (
+    CampaignSpec,
+    _SafeTrialTask,
+    build_golden_state,
+    run_campaign,
+)
+from repro.core.serialize import campaign_summary, to_jsonable
 from repro.core.sharedgolden import (
     _create_segment,
     attach_golden_state,
@@ -50,24 +55,52 @@ def _segments() -> set[str]:
     return set(glob.glob("/dev/shm/repro-golden-*"))
 
 
+def _publish(spec):
+    """Build and publish ``spec``'s golden state as a campaign parent does."""
+    state = build_golden_state(spec)
+    return (state, *publish_golden_state(state, get_network(spec.network, spec.scale)))
+
+
 class TestSharedGoldenParity:
     def test_byte_identity_across_execution_modes(self):
         before = _segments()
         baseline = _summary(run_campaign(SPEC))
-        assert _summary(run_campaign(SPEC, jobs=2)) == baseline  # shm auto-on
-        assert _summary(run_campaign(SPEC, jobs=1, shared_golden=True)) == baseline
-        assert _summary(run_campaign(SPEC, jobs=2, batch=16, shared_golden=True)) == baseline
+        assert _summary(run_campaign(SPEC, jobs=2)) == baseline
+        assert _summary(run_campaign(SPEC, jobs=2, batch=16)) == baseline
         assert _segments() == before, "campaign leaked a shared segment"
+
+    def test_in_process_attach_then_close(self):
+        """A task attached in the parent (as after a pool degrades to
+        inline) must purge its views on close: the memoized network would
+        otherwise serve dangling weight views to the next campaign."""
+        before = _segments()
+        baseline = _summary(run_campaign(SPEC))
+        state, descriptor, shm = _publish(SPEC)
+        inline = list(_SafeTrialTask(SPEC, state).run_many(range(SPEC.n_trials)))
+        # Drop the private weights so the attach installs segment views.
+        get_network(SPEC.network, SPEC.scale).invalidate_weight_caches()
+        try:
+            task = _SafeTrialTask(SPEC, descriptor)
+            try:
+                assert task.task._shm_view.installed, "expected installed weight views"
+                attached = list(task.run_many(range(SPEC.n_trials)))
+            finally:
+                task.close()
+        finally:
+            release_segment(shm)
+        assert json.dumps(to_jsonable(attached)) == json.dumps(to_jsonable(inline))
+        assert _segments() == before, "in-process attach leaked a shared segment"
+        assert _summary(run_campaign(SPEC)) == baseline
 
     def test_detector_travels_in_descriptor(self):
         baseline = _summary(run_campaign(DETECT_SPEC))
-        shared = _summary(run_campaign(DETECT_SPEC, jobs=2, shared_golden=True))
+        shared = _summary(run_campaign(DETECT_SPEC, jobs=2))
         assert shared == baseline
         assert "detection" in baseline
 
     def test_manifest_records_shared_golden_mode(self, tmp_path):
         manifest = tmp_path / "run.manifest.json"
-        run_campaign(SPEC, jobs=2, shared_golden=True, manifest=manifest)
+        run_campaign(SPEC, jobs=2, manifest=manifest)
         assert json.loads(manifest.read_text())["run"]["shared_golden"] is True
         run_campaign(SPEC, manifest=manifest)
         assert json.loads(manifest.read_text())["run"]["shared_golden"] is False
@@ -75,8 +108,7 @@ class TestSharedGoldenParity:
 
 class TestGoldenImmutability:
     def test_attached_views_are_read_only(self):
-        proto = _CampaignTask(SPEC)
-        descriptor, shm = publish_golden_state(proto)
+        _, descriptor, shm = _publish(SPEC)
         try:
             view = attach_golden_state(descriptor)
             golden = view.goldens[0]
@@ -94,10 +126,9 @@ class TestGoldenImmutability:
             release_segment(shm)
 
     def test_golden_bits_survive_a_shared_campaign(self):
-        proto = _CampaignTask(SPEC)
-        golden_bits = [g.scores.copy() for g in proto.goldens]
-        run_campaign(SPEC, jobs=2, shared_golden=True)
-        after = _CampaignTask(SPEC)
+        golden_bits = [g.scores.copy() for g in build_golden_state(SPEC).goldens]
+        run_campaign(SPEC, jobs=2)
+        after = build_golden_state(SPEC)
         for before, golden in zip(golden_bits, after.goldens):
             np.testing.assert_array_equal(before, golden.scores)
 
@@ -105,12 +136,11 @@ class TestGoldenImmutability:
         """Forked workers inherit warm quantized weights; segment views
         must not shadow them — purging views at close would otherwise
         throw away quantization work the process already paid for."""
-        proto = _CampaignTask(SPEC)  # warms the memoized network's cache
+        _, descriptor, shm = _publish(SPEC)  # warms the memoized network's cache
         network = get_network(SPEC.network, SPEC.scale)
         li = network.mac_layer_indices()[0]
         warm = network.layers[li].cached_quantized_weights()
         assert warm, "expected a warmed weight cache"
-        descriptor, shm = publish_golden_state(proto)
         try:
             view = attach_golden_state(descriptor)
             view.install_weights(network)
@@ -151,7 +181,7 @@ class TestSegmentLifecycle:
         before = _segments()
         monkeypatch.setenv("REPRO_CAMPAIGN_FAULT", "raise:*:1.0")
         with pytest.raises(CampaignAbortedError):
-            run_campaign(SPEC, jobs=2, shared_golden=True, max_error_frac=0.0)
+            run_campaign(SPEC, jobs=2, max_error_frac=0.0)
         assert _segments() == before
 
 
@@ -182,7 +212,7 @@ class TestEarlyStopping:
 
     def test_parity_across_jobs_shm_and_batch(self):
         baseline = _summary(run_campaign(STOP_SPEC))
-        shared = run_campaign(STOP_SPEC, jobs=2, batch=8, shared_golden=True)
+        shared = run_campaign(STOP_SPEC, jobs=2, batch=8)
         assert _summary(shared) == baseline
 
     def test_halfwidth_validation(self):
@@ -194,7 +224,7 @@ class TestEarlyStopping:
                          target_halfwidth=0.1, stop_stratify="latch")
 
     def test_resume_replays_stop_decisions(self, tmp_path):
-        """Kill at ~50% (truncated checkpoint), resume under jobs+shm:
+        """Kill at ~50% (truncated checkpoint), resume under jobs=2:
         skip decisions and the stop boundary replay bit-identically."""
         ref_ck = tmp_path / "ref.jsonl"
         reference = run_campaign(STOP_SPEC, checkpoint=ref_ck)
@@ -203,9 +233,7 @@ class TestEarlyStopping:
         half_ck = tmp_path / "half.jsonl"
         half_ck.write_text("\n".join([header] + entries[: len(entries) // 2]) + "\n")
 
-        resumed = run_campaign(
-            STOP_SPEC, checkpoint=half_ck, resume=True, jobs=2, shared_golden=True
-        )
+        resumed = run_campaign(STOP_SPEC, checkpoint=half_ck, resume=True, jobs=2)
         assert _summary(resumed) == _summary(reference)
         assert resumed.stopped_at == reference.stopped_at
         assert [(s.index, s.site) for s in resumed.skips] == \

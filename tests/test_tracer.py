@@ -88,12 +88,11 @@ class TestTraceIdentity:
             "serial": {},
             "jobs2": {"jobs": 2},
             "batch16": {"batch": 16},
-            "shm2": {"jobs": 2, "shared_golden": True},
         }.items():
             path = tmp_path / f"{label}.trace.jsonl"
             run_campaign(SPEC, trace_path=path, **kwargs)
             files[label] = path.read_bytes()
-        assert files["serial"] == files["jobs2"] == files["batch16"] == files["shm2"]
+        assert files["serial"] == files["jobs2"] == files["batch16"]
 
     def test_batched_dead_trial_collapse_masking_layer_matches_serial(self):
         # The batched engine retires dead trials by patching golden rows

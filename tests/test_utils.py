@@ -65,10 +65,10 @@ class TestParallel:
 
     def test_chunk_validated(self):
         with pytest.raises(ValueError, match="chunk"):
-            map_trials(_square_factory, 5, jobs=1, chunk=0)
+            map_trials(_square_factory, jobs=1, chunk=0, indices=range(5))
 
     def test_inline_path(self):
-        results = map_trials(lambda: (lambda i: i * i), 5, jobs=1)
+        results = map_trials(lambda: (lambda i: i * i), jobs=1, indices=range(5))
         assert results == [0, 1, 4, 9, 16]
 
     def test_factory_called_once_inline(self):
@@ -78,15 +78,15 @@ class TestParallel:
             calls.append(1)
             return lambda i: i
 
-        map_trials(factory, 10, jobs=1)
+        map_trials(factory, jobs=1, indices=range(10))
         assert len(calls) == 1
 
     def test_parallel_preserves_order(self):
-        results = map_trials(_square_factory, 37, jobs=2, chunk=5)
+        results = map_trials(_square_factory, jobs=2, chunk=5, indices=range(37))
         assert results == [i * i for i in range(37)]
 
     def test_single_trial_runs_inline(self):
-        assert map_trials(_square_factory, 1, jobs=8) == [0]
+        assert map_trials(_square_factory, jobs=8, indices=[0]) == [0]
 
 
 def _square_factory():
