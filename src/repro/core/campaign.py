@@ -41,9 +41,9 @@ from repro.core.injector import (
 )
 from repro.core.outcome import SDC_CLASSES, Outcome, classify_outcome
 from repro.core.stats import RateEstimate, wilson_halfwidth
-from repro.core.tracing import EventRecorder
 from repro.dtypes.registry import get_dtype
-from repro.nn.network import InferenceResult
+from repro.nn.network import InferenceResult, bits_differ
+from repro.obs.events import EventRecorder
 from repro.obs.metrics import (
     MetricsRegistry,
     empty_snapshot,
@@ -614,21 +614,20 @@ class _CampaignTask:
             from repro.accel.occupancy import build_occupancy
 
             self.occupancy = build_occupancy(self.network, EYERISS_16NM)
-        self._final_act_layer = len(self.network.layers) - 1
-        if self.network.layers[-1].kind == "softmax":
-            self._final_act_layer -= 1
 
     def _reached(self, golden, injection) -> bool | None:
+        """Whether the final fmap's bits differ from golden (one layer
+        compared, not a trace row)."""
         if not injection.faulty_activations:
             return False if injection.masked else None
+        final = self.network.final_activation_layer
         # activations[j] = output of layer (resume_index + j - 1)
-        j = self._final_act_layer - injection.resume_index + 1
+        j = final - injection.resume_index + 1
         if j < 0 or j >= len(injection.faulty_activations):
             return None
-        return not np.array_equal(
-            injection.faulty_activations[j],
-            golden.activations[self._final_act_layer + 1],
-        )
+        return bool(bits_differ(
+            injection.faulty_activations[j], golden.activations[final + 1]
+        ).any())
 
     def sample_trial(self, trial: int):
         """Draw trial ``trial``'s fault without building its corruption.
@@ -1081,7 +1080,7 @@ def run_campaign(
             than this fraction of ``spec.n_trials`` is quarantined.  The
             default 0.0 tolerates no errors — raising it is an explicit
             statement that partial campaigns are acceptable.
-        events: :class:`~repro.core.tracing.EventRecorder` observing
+        events: :class:`~repro.obs.events.EventRecorder` observing
             retry/rebuild/quarantine/resume events (a fresh one is used
             when None; note ``stats`` counts reflect every emission the
             recorder has seen).

@@ -15,7 +15,9 @@ on its index, never on which worker ran it or when.
 File format (version 2) — JSON Lines:
 
 - line 1: header ``{"format": "repro-campaign-checkpoint", "version": 2,
-  "fingerprint": ..., "spec": {...}}``
+  "fingerprint": ..., "spec": {...}, "trace_version": 2}``
+  (``trace_version`` is the format of the trace rows below,
+  :data:`repro.obs.tracer.TRACE_VERSION`)
 - one line per resolved trial: ``{"index": i, "record": {...}}`` for a
   classified trial (plus ``"trace": {...}``, its propagation-trace row,
   when the spec traces trial ``i``), ``{"index": i, "error": {...}}`` for
@@ -39,7 +41,8 @@ kill/resume.
 
 A record and its trace row share one line, so neither can reach disk
 without the other.  A record of a trace-selected trial that carries no
-row (a version-1 file, say) counts as unresolved and re-runs.  The
+row (a version-1 file, say) counts as unresolved and re-runs; so does
+one whose row was written under another trace row version.  The
 ``fingerprint`` keys the checkpoint to its
 :class:`~repro.core.campaign.CampaignSpec`: resuming under a spec with
 any differing field is refused rather than silently mixing trials from
@@ -57,6 +60,7 @@ from pathlib import Path
 from repro.core.campaign import CampaignSpec, TrialError, TrialRecord, TrialSkip
 from repro.core.outcome import Outcome
 from repro.core.serialize import from_jsonable, to_jsonable
+from repro.obs.tracer import TRACE_VERSION
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -173,7 +177,8 @@ def load_checkpoint(path: str | Path, spec: CampaignSpec | None = None) -> Check
         spec: When given, the file's fingerprint must match the spec's
             (raises :class:`CheckpointMismatchError` otherwise), and a
             record of a trial the spec traces counts only together with
-            its trace row.
+            its trace row.  Rows written under another
+            :data:`~repro.obs.tracer.TRACE_VERSION` are dropped.
 
     Undecodable lines — a torn last line after a SIGKILL mid-append — are
     skipped rather than fatal: a checkpoint can only lose trials to
@@ -183,6 +188,7 @@ def load_checkpoint(path: str | Path, spec: CampaignSpec | None = None) -> Check
     if not path.exists():
         return None
     fingerprint: str | None = None
+    trace_version = None
     records: dict[int, TrialRecord] = {}
     errors: dict[int, TrialError] = {}
     skips: dict[int, TrialSkip] = {}
@@ -197,6 +203,7 @@ def load_checkpoint(path: str | Path, spec: CampaignSpec | None = None) -> Check
                 continue
             if data.get("format") == _FORMAT:
                 fingerprint = data.get("fingerprint")
+                trace_version = data.get("trace_version")
                 continue
             index = int(data["index"])
             if "record" in data:
@@ -209,6 +216,8 @@ def load_checkpoint(path: str | Path, spec: CampaignSpec | None = None) -> Check
                 skips[index] = _decode_skip(data["skip"])
         except (KeyError, TypeError, ValueError):
             continue
+    if trace_version != TRACE_VERSION:
+        traces = {}
     if spec is not None:
         expected = campaign_fingerprint(spec)
         if fingerprint != expected:
@@ -253,6 +262,7 @@ class CheckpointWriter:
             "version": CHECKPOINT_VERSION,
             "fingerprint": self.fingerprint,
             "spec": to_jsonable(spec),
+            "trace_version": TRACE_VERSION,
         }, sort_keys=True)
         self._lines: dict[int, str] = {}
         #: Lines added since the last flush, in arrival order.

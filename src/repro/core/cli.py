@@ -15,7 +15,7 @@ from repro.core.campaign import TARGETS, CampaignAbortedError, CampaignSpec, run
 from repro.core.checkpoint import CheckpointMismatchError
 from repro.core.fault import DATAPATH_LATCHES
 from repro.core.serialize import campaign_summary, save_json
-from repro.core.tracing import EventRecorder
+from repro.obs.events import EventRecorder
 from repro.dtypes.registry import DTYPES
 from repro.utils.tables import format_table
 from repro.zoo.registry import NETWORKS

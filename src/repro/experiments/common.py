@@ -137,7 +137,7 @@ def campaign(spec: CampaignSpec, jobs: int = 1, cfg: ExperimentConfig | None = N
                     kwargs["manifest"] = obs_dir / f"{fingerprint}.manifest.json"
                     kwargs["run_log"] = obs_dir / f"{fingerprint}.runlog.jsonl"
             if cfg.progress > 0:
-                from repro.core.tracing import EventRecorder
+                from repro.obs.events import EventRecorder
                 from repro.obs.progress import ProgressReporter
 
                 recorder = EventRecorder()

@@ -58,7 +58,7 @@ def run(cfg: ExperimentConfig) -> dict:
             masking = row.get("masking")
             if masking is not None:
                 locus[masking["kind"]] = locus.get(masking["kind"], 0) + 1
-            elif not row["masked_at_injection"]:
+            if row["reached_output"]:
                 reached += 1
         out["networks"][name] = {
             "traced": len(traces),

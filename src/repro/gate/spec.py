@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.gate.yamlio import MiniYamlError, load_path
+import yaml
 
 __all__ = [
     "OBLIGATION_ID_RE",
@@ -213,8 +213,8 @@ def load_pack(path: str | Path) -> list[Obligation]:
     """Parse one ``obligations/*.yaml`` pack into validated obligations."""
     path = Path(path)
     try:
-        doc = load_path(path)
-    except MiniYamlError as exc:
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
         raise SpecError(f"{path}: {exc}") from exc
     _require(isinstance(doc, dict), f"{path}: pack must be a mapping")
     assert isinstance(doc, dict)

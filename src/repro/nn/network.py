@@ -25,7 +25,7 @@ from repro.dtypes.base import DataType
 from repro.nn.layers.base import Layer, MacLayer, Shape
 from repro.obs.spans import span
 
-__all__ = ["Network", "InferenceResult", "BatchInferenceResult"]
+__all__ = ["Network", "InferenceResult", "BatchInferenceResult", "bits_differ"]
 
 #: Layer kinds the delta-propagation engine can recompute partially; any
 #: other kind (flatten, fc, gap, softmax) mixes all spatial positions and
@@ -33,17 +33,19 @@ __all__ = ["Network", "InferenceResult", "BatchInferenceResult"]
 _DELTA_KINDS = frozenset({"conv", "relu", "pool", "lrn"})
 
 
-def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bit-for-bit float64 array equality.
+def bits_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise "the float64 bit patterns differ" mask.
 
-    Value comparison (``==``) is the wrong test for "is this patch the
-    golden patch": ``-0.0 == 0.0`` yet the sign bit survives downstream
-    sums, and ``NaN != NaN`` yet an identical NaN payload propagates
+    Value comparison (``==``) is the wrong test for "is this the golden
+    value": ``-0.0 == 0.0`` yet the sign bit survives downstream sums,
+    and ``NaN != NaN`` yet an identical NaN payload propagates
     identically through our deterministic arithmetic.  Comparing the raw
-    bit patterns gives exactly the guarantee delta propagation needs:
-    substituting one array for the other cannot change any later bit.
+    bit patterns is what delta propagation needs (substituting one array
+    for the other cannot change any later bit) and what the flight
+    recorder and ``reached_output`` count as corrupted.  Views, never
+    copies: both arrays must already be float64.
     """
-    return bool((a.view(np.uint64) == b.view(np.uint64)).all())
+    return a.view(np.uint64) != b.view(np.uint64)
 
 
 @dataclass
@@ -236,6 +238,13 @@ class Network:
             if layer.block is not None and layer.kind != "softmax":
                 last[layer.block] = i
         return frozenset(last.values())
+
+    @property
+    def final_activation_layer(self) -> int:
+        """Index of the layer that writes the final fmap (a terminal
+        softmax excluded): where a corruption "reaches the output"."""
+        last = len(self.layers) - 1
+        return last - 1 if self.layers[last].kind == "softmax" else last
 
     def invalidate_weight_caches(self) -> None:
         """Drop all quantized-weight caches after mutating parameters."""
@@ -497,7 +506,7 @@ class Network:
                     )
                     for b, (y, a0, a1) in zip(live, patches):
                         y = narrow(y) if i in store_at else y
-                        if _bits_equal(y, golden_next[b][:, a0:a1]):
+                        if not bits_differ(y, golden_next[b][:, a0:a1]).any():
                             out[b] = golden_next[b]
                             new_spans[b] = (0, 0)
                         else:
@@ -526,7 +535,7 @@ class Network:
                     if i in store_at:
                         y = narrow(y)
                     for pos, b in enumerate(live):
-                        if _bits_equal(y[pos], golden_next[b][:, u0:u1]):
+                        if not bits_differ(y[pos], golden_next[b][:, u0:u1]).any():
                             out[b] = golden_next[b]
                             new_spans[b] = (0, 0)
                         else:

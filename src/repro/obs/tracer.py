@@ -16,9 +16,9 @@ pure function of the trial index.  Trial selection is by index
 identity, so two runs that trace different subsets have different
 fingerprints), the faulty activations a row is derived from are
 bit-identical across serial / ``--jobs N`` / ``--batch N`` executions
-(the engine's bit-exactness contract), and the derived
-statistics use bitwise comparison (NaN- and ``-0.0``-safe, mirroring
-``repro.nn.network._bits_equal``).  The trace file is therefore
+(the engine's bit-exactness contract), and the derived statistics
+use the engine's bitwise comparison (:func:`repro.nn.network.bits_differ`,
+NaN- and ``-0.0``-exact).  The trace file is therefore
 byte-identical across every execution shape, including kill/resume —
 the batched path's dead-trial collapse retires a trial by patching
 golden rows back in exactly when its activation bits equal golden, so
@@ -40,12 +40,16 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.nn.network import bits_differ
+
 __all__ = [
     "TRACE_MODES",
+    "TRACE_VERSION",
     "TraceWriter",
     "build_trace",
     "default_trace_path",
     "load_trace",
+    "propagation_rows",
     "trace_depth_histogram",
     "trace_layer_matrix",
     "trace_deviation_by_depth",
@@ -55,7 +59,9 @@ __all__ = [
 #: indices divisible by ``trace_every``), ``all`` (every trial).
 TRACE_MODES = ("off", "sample", "all")
 
-TRACE_VERSION = 1
+#: Row-format version, recorded in trace and checkpoint headers; a
+#: resumed campaign re-runs traced trials journaled under another one.
+TRACE_VERSION = 2
 _FORMAT = "repro-campaign-trace"
 
 #: Relative-deviation guard against golden values that are exactly zero.
@@ -68,16 +74,21 @@ def default_trace_path(checkpoint: str | Path) -> Path:
     return checkpoint.with_name(checkpoint.name + ".trace.jsonl")
 
 
-def _bit_diff_mask(faulty: np.ndarray, golden: np.ndarray) -> np.ndarray:
-    """Elementwise "bits differ" mask (NaN- and ``-0.0``-exact).
+#: Figure 7's distance clip: every deviation is capped at this
+#: magnitude before squaring, so a ~1e300 deviation cannot overflow the
+#: sum.  A non-finite deviation counts as 10x the largest finite one
+#: (that one capped at ``_L2_CLIP / 10``), but never less than 10.
+_L2_CLIP = 1e150
 
-    Same comparison the delta engine's ``_bits_equal`` uses: value
-    equality would call NaN != NaN corrupted forever and -0.0 == 0.0
-    clean, neither of which matches what the hardware latched.
-    """
-    a = np.ascontiguousarray(faulty, dtype=np.float64)
-    b = np.ascontiguousarray(golden, dtype=np.float64)
-    return a.view(np.uint64) != b.view(np.uint64)
+
+def _l2(dev: np.ndarray) -> float:
+    """Euclidean norm of absolute deviations, finite by construction."""
+    bad = ~np.isfinite(dev)
+    if bad.any():
+        finite_max = min(float(dev[~bad].max(initial=0.0)), _L2_CLIP / 10)
+        dev = np.where(bad, max(finite_max, 1.0) * 10.0, dev)
+    dev = np.minimum(dev, _L2_CLIP)
+    return float(np.sqrt((dev * dev).sum()))
 
 
 def _delta_stats(faulty: np.ndarray, golden: np.ndarray) -> dict:
@@ -88,10 +99,12 @@ def _delta_stats(faulty: np.ndarray, golden: np.ndarray) -> dict:
     same geometry the delta engine's row spans use — and None for
     activations without a row axis (FC/softmax vectors).  Deviations are
     computed over corrupted elements only; non-finite faulty values
-    propagate into the stats as ``nan``/``inf`` (serialized to strings
-    by ``to_jsonable``), which is itself a deterministic fact.
+    propagate into the max/mean/relative stats as ``nan``/``inf``
+    (serialized to strings by ``to_jsonable``), which is itself a
+    deterministic fact.  ``l2`` is Figure 7's Euclidean distance and
+    stays finite (see :func:`_l2`).
     """
-    mask = _bit_diff_mask(faulty, golden)
+    mask = bits_differ(faulty, golden)
     corrupted = int(np.count_nonzero(mask))
     stats: dict = {
         "corrupted": corrupted,
@@ -99,15 +112,17 @@ def _delta_stats(faulty: np.ndarray, golden: np.ndarray) -> dict:
         "max_abs_dev": 0.0,
         "mean_abs_dev": 0.0,
         "max_rel_dev": 0.0,
+        "l2": 0.0,
     }
     if not corrupted:
         return stats
-    f = np.asarray(faulty, dtype=np.float64)[mask]
-    g = np.asarray(golden, dtype=np.float64)[mask]
-    dev = np.abs(f - g)
-    stats["max_abs_dev"] = float(np.max(dev))
-    stats["mean_abs_dev"] = float(np.mean(dev))
-    stats["max_rel_dev"] = float(np.max(dev / (np.abs(g) + _REL_EPS)))
+    g = golden[mask]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(faulty[mask] - g)
+        stats["max_abs_dev"] = float(np.max(dev))
+        stats["mean_abs_dev"] = float(np.mean(dev))
+        stats["max_rel_dev"] = float(np.max(dev / (np.abs(g) + _REL_EPS)))
+    stats["l2"] = _l2(dev)
     if mask.ndim >= 2:
         row_axis = mask.ndim - 2
         other = tuple(ax for ax in range(mask.ndim) if ax != row_axis)
@@ -128,6 +143,34 @@ def _masking_kind(layer_kind: str) -> str:
     return "quantization_clip"
 
 
+def propagation_rows(network, golden, injection) -> tuple[dict | None, list[dict]]:
+    """Per-layer corruption rows of one propagated injection.
+
+    Returns ``(injected, layers)``: ``injected`` compares the corrupted
+    input of ``layers[resume_index]`` (the output of layer
+    ``resume_index - 1``) with its golden twin, None when the injection
+    was masked; ``layers`` holds one row per re-executed layer, comparing
+    ``faulty_activations[j]`` (output of layer ``resume_index + j - 1``)
+    against ``golden.activations[resume_index + j]``.  The rows stop at
+    the first all-clean layer — forward propagation is deterministic, so
+    a corruption that reaches golden bits once stays golden forever.
+    """
+    resume = int(injection.resume_index)
+    faulty = injection.faulty_activations
+    if injection.masked or not faulty:
+        return None, []
+    injected = _delta_stats(faulty[0], golden.activations[resume])
+    layers: list[dict] = []
+    for j in range(1, len(faulty)):
+        li = resume + j - 1
+        layer = network.layers[li]
+        stats = _delta_stats(faulty[j], golden.activations[resume + j])
+        layers.append({"layer": li, "name": layer.name, "kind": layer.kind, **stats})
+        if stats["corrupted"] == 0:
+            break
+    return injected, layers
+
+
 def build_trace(
     *,
     trial: int,
@@ -144,41 +187,36 @@ def build_trace(
     ``_CampaignTask.sample_trial``'s dict (golden / site / block / bit),
     ``injection`` the propagated :class:`~repro.core.injector.InjectionResult`
     with recorded activations, ``record`` the classified
-    :class:`~repro.core.campaign.TrialRecord`.  Layer rows compare
-    ``faulty_activations[j]`` (output of layer ``resume_index + j - 1``)
-    against ``golden.activations[resume_index + j]`` and stop at the
-    first all-clean layer — forward propagation is deterministic, so a
-    corruption that reaches golden bits once stays golden forever.
+    :class:`~repro.core.campaign.TrialRecord`.  The per-layer rows come
+    from :func:`propagation_rows`; ``reached_output`` is read from the
+    row of the network's final activation layer, so it is set whether or
+    not the campaign records propagation.
     """
     # Lazy import: serialize imports campaign at module level; importing
     # it eagerly here would close a cycle through campaign -> tracer.
     from repro.core.serialize import to_jsonable
 
-    golden = meta["golden"]
     resume = int(injection.resume_index)
-    faulty = injection.faulty_activations
-    layers: list[dict] = []
-    injected: dict | None = None
+    injected, layers = propagation_rows(network, meta["golden"], injection)
     masking: dict | None = None
+    if layers and layers[-1]["corrupted"] == 0:
+        last = layers[-1]
+        masking = {"layer": last["layer"], "name": last["name"],
+                   "kind": _masking_kind(last["kind"])}
     detector_layer: int | None = None
-    if not injection.masked and faulty:
-        injected = _delta_stats(faulty[0], golden.activations[resume])
-        for j in range(1, len(faulty)):
-            li = resume + j - 1
-            layer = network.layers[li]
-            stats = _delta_stats(faulty[j], golden.activations[resume + j])
-            layers.append({"layer": li, "name": layer.name, "kind": layer.kind, **stats})
-            if stats["corrupted"] == 0:
-                masking = {"layer": li, "name": layer.name, "kind": _masking_kind(layer.kind)}
+    if detector is not None and detector_checkpoints:
+        for entry in layers:
+            li = entry["layer"]
+            block = detector_checkpoints.get(li)
+            if (entry["corrupted"] and block is not None
+                    and detector.check(block, injection.faulty_activations[li - resume + 1])):
+                detector_layer = li
                 break
-            if (
-                detector is not None
-                and detector_checkpoints
-                and detector_layer is None
-            ):
-                block = detector_checkpoints.get(li)
-                if block is not None and detector.check(block, faulty[j]):
-                    detector_layer = li
+    final = network.final_activation_layer
+    if final == resume - 1:
+        output = injected
+    else:
+        output = next((entry for entry in layers if entry["layer"] == final), None)
     row = {
         "index": int(trial),
         "site": meta["site"],
@@ -195,7 +233,7 @@ def build_trace(
         "detector_layer": detector_layer,
         "outcome": record.outcome,
         "detected": record.detected,
-        "reached_output": record.reached_output,
+        "reached_output": output is not None and output["corrupted"] > 0,
     }
     return to_jsonable(row)
 

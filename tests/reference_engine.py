@@ -16,6 +16,10 @@ Img-REG corruption build: it corrupts a copy of the ifmap and replays
 every affected (filter, column) chain one at a time through
 ``mac_operands`` and ``replay_chain`` (``DataType.partials``), with none
 of the injector's gather/multiply/accumulate batching.
+
+:func:`reference_euclidean_by_block` is Figure 7's distance as it was
+computed before the flight recorder's rows carried ``l2``: a value
+difference over the whole activation tensor, with no bitwise mask.
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ from repro.core.injector import InjectionResult, PreparedInjection, replay_chain
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import build_trace
 
-__all__ = ["reference_injection", "reference_campaign", "reference_row_activation"]
+__all__ = [
+    "reference_injection",
+    "reference_campaign",
+    "reference_row_activation",
+    "reference_euclidean_by_block",
+]
 
 
 def reference_injection(task: _CampaignTask, prep, meta: dict) -> InjectionResult:
@@ -137,3 +146,30 @@ def reference_row_activation(
     if not changed:
         return masked
     return PreparedInjection(li + 1, False, before, after, act, (oy, oy + 1))
+
+
+def reference_euclidean_by_block(network, golden, injection, points: dict[int, int]) -> dict[int, float]:
+    """Euclidean distance between faulty and golden ACTs at each sample point.
+
+    Points upstream of the fault were not re-executed and read 0.
+    Non-finite deviations count as 10x the largest finite one (capped at
+    1e149, never below 10), and every deviation is clipped to +-1e150
+    before squaring.
+    """
+    distances: dict[int, float] = {}
+    for block, li in points.items():
+        j = li - injection.resume_index + 1
+        if j < 0 or j >= len(injection.faulty_activations):
+            distances[block] = 0.0
+            continue
+        faulty = injection.faulty_activations[j]
+        ref = golden.activations[li + 1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff = faulty - ref
+        bad = ~np.isfinite(diff)
+        if bad.any():
+            finite_mag = min(float(np.abs(diff[~bad]).max(initial=0.0)), 1e149)
+            diff = np.where(bad, max(finite_mag, 1.0) * 10.0, diff)
+        diff = np.clip(diff, -1e150, 1e150)
+        distances[block] = float(np.sqrt((diff * diff).sum()))
+    return distances

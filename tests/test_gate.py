@@ -1,9 +1,8 @@
 """Release gate: obligation specs, recipe executors, runner, CLI.
 
 The gate is release-critical tooling, so the tests treat it the way the
-gate treats the repo: the YAML subset parser is cross-checked against
-PyYAML on every shipped pack, spec validation is probed with malformed
-packs, and the tamper-detection property — a deliberately violated
+gate treats the repo: spec validation is probed with malformed packs
+(malformed YAML included), and the tamper-detection property — a deliberately violated
 invariant must fail ``repro-gate check`` with a pointer to the failing
 evidence — is exercised end to end through the real CLI against a
 sandbox spec directory.
@@ -37,7 +36,6 @@ from repro.gate.spec import (
     load_pack,
     load_specs,
 )
-from repro.gate.yamlio import MiniYamlError, _mini_loads
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SPEC_DIR = REPO_ROOT / "obligations"
@@ -73,56 +71,6 @@ def _command_pack(tmp_path, *, obl_id="SANDBOX", exit_code=0,
         python=sys.executable, exit=exit_code), name=name)
 
 
-class TestMiniYaml:
-    def test_matches_pyyaml_on_every_shipped_pack(self):
-        yaml = pytest.importorskip("yaml")
-        packs = sorted(SPEC_DIR.glob("*.yaml"))
-        assert packs, "shipped obligation packs must exist"
-        for pack in packs:
-            text = pack.read_text(encoding="utf-8")
-            assert _mini_loads(text) == yaml.safe_load(text), pack.name
-
-    def test_scalars_lists_and_nesting(self):
-        doc = _mini_loads(textwrap.dedent("""\
-            a: 1
-            b: 2.5
-            c: true
-            d: null
-            e: 'quoted: text'
-            flow: [x, 2, false]
-            block:
-              - first
-              - second
-            items:
-              - id: one
-                n: 1
-              - id: two
-                n: 2
-            """))
-        assert doc == {
-            "a": 1, "b": 2.5, "c": True, "d": None, "e": "quoted: text",
-            "flow": ["x", 2, False],
-            "block": ["first", "second"],
-            "items": [{"id": "one", "n": 1}, {"id": "two", "n": 2}],
-        }
-
-    def test_multiline_plain_scalar_folds(self):
-        doc = _mini_loads("key:\n  first line\n  second line\n")
-        assert doc == {"key": "first line second line"}
-
-    def test_comments_and_same_indent_sequences(self):
-        doc = _mini_loads("# header\nitems:\n- a  # trailing\n- b\n")
-        assert doc == {"items": ["a", "b"]}
-
-    def test_rejects_tabs_duplicates_and_bare_inline_maps(self):
-        with pytest.raises(MiniYamlError):
-            _mini_loads("a:\n\tb: 1\n")
-        with pytest.raises(MiniYamlError):
-            _mini_loads("a: 1\na: 2\n")
-        with pytest.raises(MiniYamlError):
-            _mini_loads("items:\n  - id:\n      nested: 1\n")
-
-
 class TestSpecLoading:
     def test_shipped_specs_load_sorted_and_blocking(self):
         obligations = load_specs(SPEC_DIR)
@@ -156,6 +104,13 @@ class TestSpecLoading:
         path = tmp_path / "bad.yaml"
         path.write_text(good.replace(mutation, needle), encoding="utf-8")
         with pytest.raises(SpecError):
+            load_pack(path)
+
+    def test_malformed_yaml_raises_spec_error(self, tmp_path):
+        path = _command_pack(tmp_path)
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            "argv: [", "argv: [[", 1), encoding="utf-8")
+        with pytest.raises(SpecError, match=path.name):
             load_pack(path)
 
     def test_duplicate_ids_across_packs_rejected(self, tmp_path):
@@ -456,6 +411,11 @@ class TestCli:
         (tmp_path / "broken.yaml").write_text("format: wrong\n", encoding="utf-8")
         assert gate_cli.main(["list", "--specs", str(tmp_path)]) == 2
         assert "repro-gate" in capsys.readouterr().err
+
+    def test_unclosed_flow_sequence_exits_2(self, tmp_path, capsys):
+        (tmp_path / "broken.yaml").write_text("tags: [a, b\n", encoding="utf-8")
+        assert gate_cli.main(["list", "--specs", str(tmp_path)]) == 2
+        assert "broken.yaml" in capsys.readouterr().err
 
 
 class TestSelfcheck:

@@ -13,6 +13,7 @@ renderings).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -130,6 +131,18 @@ class TestTraceIdentity:
                     assert row["masking"] is None
         assert saw_masked and saw_live
 
+    def test_row_reached_output_equals_record(self):
+        spec = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=24, n_inputs=2,
+                            seed=3, bit=14, record_propagation=True, trace_mode="all")
+        result = run_campaign(spec)
+        rows = [result.traces[i]["reached_output"] for i in sorted(result.traces)]
+        assert rows == [record.reached_output for record in result.records]
+        assert True in rows and False in rows
+        # Without record_propagation the rows still say it; records do not.
+        untracked = run_campaign(dataclasses.replace(spec, record_propagation=False))
+        assert all(record.reached_output is None for record in untracked.records)
+        assert [untracked.traces[i]["reached_output"] for i in sorted(untracked.traces)] == rows
+
     def test_detector_layer_recorded_with_sed(self):
         spec = CampaignSpec(
             network="ConvNet", dtype="FLOAT16", n_trials=24, n_inputs=2, seed=3,
@@ -184,6 +197,34 @@ class TestTraceResume:
 
         resumed = run_campaign(SPEC, checkpoint=ck, resume=True)
         assert resumed.stats.resumed == SPEC.n_trials - len(stripped)
+        assert ck.read_bytes() == want_ck
+        assert trace.read_bytes() == want_trace
+
+    def test_rows_of_another_trace_version_rerun(self, tmp_path):
+        ck = tmp_path / "ck.jsonl"
+        run_campaign(SPEC, checkpoint=ck)
+        trace = default_trace_path(ck)
+        want_ck, want_trace = ck.read_bytes(), trace.read_bytes()
+
+        # A journal written before rows carried ``l2``: no trace_version
+        # in the header, no ``l2`` in the rows.
+        lines = ck.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        del header["trace_version"]
+        old = [json.dumps(header, sort_keys=True)]
+        for line in lines[1:]:
+            entry = json.loads(line)
+            for stats in [entry["trace"]["injected"], *entry["trace"]["layers"]]:
+                if stats is not None:
+                    del stats["l2"]
+            old.append(json.dumps(entry, sort_keys=True))
+        ck.write_text("\n".join(old) + "\n", encoding="utf-8")
+        trace.unlink()
+        state = load_checkpoint(ck, spec=SPEC)
+        assert state.traces == {} and state.records == {}
+
+        resumed = run_campaign(SPEC, checkpoint=ck, resume=True)
+        assert resumed.stats.resumed == 0
         assert ck.read_bytes() == want_ck
         assert trace.read_bytes() == want_trace
 
